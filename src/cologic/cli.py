@@ -18,7 +18,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-from .engine import Answer, EngineConfig, solve
+from .engine import MODES, Answer, EngineConfig, solve
 from .errors import CologicError, ParseError
 from .oracle import coind_semantics, generated_semantics, ind_semantics, universe_for
 from .parser import parse_program, parse_query
@@ -143,7 +143,7 @@ def repl_loop(path: str | None = None, cfg: CliConfig | None = None) -> int:
             if command in (":quit", ":q"):
                 return 0
             if command == ":mode":
-                if argument in ("cofacts", "inductive", "coinductive"):
+                if argument in MODES:
                     cfg.mode = argument
                 else:
                     print(f"unknown mode {argument!r}", file=sys.stderr)
@@ -204,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--mode",
-        choices=("cofacts", "inductive", "coinductive"),
+        choices=MODES,
         default="cofacts",
         help="semantics to resolve under (default: cofacts)",
     )
@@ -240,6 +240,13 @@ def main(argv: list[str] | None = None) -> int:
         step_budget=args.budget,
         oracle=args.oracle,
     )
+    try:
+        cfg.engine_config()
+    except ValueError as exc:
+        # Reported like any other error; argparse.error would raise
+        # SystemExit, which escapes callers that run main in-process.
+        print(f"cologic: {exc}", file=sys.stderr)
+        return 2
     if args.query or args.oracle:
         return run_file(args.file, args.query, cfg)
     return repl_loop(args.file, cfg)

@@ -21,6 +21,15 @@ program order. Each non-builtin atom is resolved in two strata:
 Builtins (``=``, comparisons, ``is`` arithmetic, ...) are evaluated
 directly in both strata and never enter the hypothesis set or the
 revisit counts.
+
+Both strata select clauses through the program's clause index
+(:class:`cologic.terms.ClauseIndex`): on the predicate and arity, then on
+the first argument the goal has bound, keeping every clause whose head has
+a variable or the same principal symbol there. Every skipped clause is one
+whose head unification would clash, and program order is kept, so answers
+and their order are those of a scan over every clause. The index
+is built on a program's first query and kept, which is safe because
+:class:`~cologic.terms.Program` is immutable.
 """
 
 from __future__ import annotations
@@ -229,10 +238,8 @@ class Resolution:
             program = with_universal_cofacts(program)
         self.program = program
         self.store = store if store is not None else BindStore()
-        self.vars = var_source or VarSource(max_var_id(program) + 1)
-        self._lfp_clauses = (
-            program.clauses if self.config.mode == "inductive" else program.extended()
-        )
+        self.vars = var_source or VarSource(program.index.max_var_id + 1)
+        self._lfp_extended = self.config.mode != "inductive"
         self._steps_left = self.config.step_budget
 
     def _tick(self) -> None:
@@ -277,7 +284,7 @@ class Resolution:
             self.store.rollback(start)
         if candidates and self.config.hyp_cut:
             return
-        for clause in self.program.clauses:
+        for clause in self.program.index.candidates(atom, False, self.store.resolve):
             start = self.store.mark()
             renamed = fresh_rename(clause, self.vars)
             if unify_atoms(atom, renamed.head, self.store):
@@ -311,7 +318,8 @@ class Resolution:
             counts = counts.incremented(index)
         else:
             counts = counts.inserted(self._snapshot_atom(atom))
-        for clause in self._lfp_clauses:
+        candidates = self.program.index.candidates(atom, self._lfp_extended, self.store.resolve)
+        for clause in candidates:
             start = self.store.mark()
             renamed = fresh_rename(clause, self.vars)
             if unify_atoms(atom, renamed.head, self.store):
@@ -360,7 +368,7 @@ def solve(
         goal, var_names = query, {}
     else:
         goal, var_names = query.goal, query.var_names
-    source = VarSource(max(max_var_id(program), max_var_id(goal)) + 1)
+    source = VarSource(max(program.index.max_var_id, max_var_id(goal)) + 1)
     resolution = Resolution(program, config, var_source=source)
     ordered_vars = [(name, vid) for vid, name in var_names.items()]
     if config.mode == "inductive":

@@ -36,6 +36,7 @@ from .terms import (
     Term,
     Var,
     VarSource,
+    _INFIX_PREDICATES,
 )
 
 
@@ -77,7 +78,6 @@ _PUNCT = (
     ".",
 )
 
-_INFIX_PREDICATES = ("=", "\\=", "<", ">", ">=", "=<", "=:=", "=\\=", "is")
 _SUM_OPS = ("+", "-")
 _MUL_OPS = ("*", "//")
 

@@ -3,7 +3,10 @@
 Terms are always finite trees here. Rational (cyclic) structure never lives
 inside a ``Term`` value; it is represented by bindings in a
 :class:`cologic.unify.BindStore`. Everything in this module is immutable
-after construction and safe to share across threads.
+after construction and safe to share across threads. The one exception,
+a program's :class:`ClauseIndex`, fills in its parts on first use; each
+part depends only on the program, so threads that build one concurrently
+build equal ones.
 
 Lists are sugar: ``[]`` is the constant ``Compound("[]")`` and ``[H|T]`` is
 ``Compound(".", (H, T))``. The parser desugars and the renderer resugars.
@@ -12,7 +15,8 @@ Lists are sugar: ``[]`` is the constant ``Compound("[]")`` and ``[H|T]`` is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from functools import cached_property
+from typing import Callable, Iterable, Sequence, Union
 
 NIL = "[]"
 CONS = "."
@@ -104,7 +108,7 @@ class Goal:
     atoms: tuple[Atom, ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Program:
     """Ordered clauses plus the distinguished co-fact set.
 
@@ -112,6 +116,9 @@ class Program:
     clause search never uses them, only the bounded finiteness check does
     (see :mod:`cologic.engine`). ``var_names`` maps variable ids back to
     their source spelling, for printing only.
+
+    Immutable, so the clause index built on first use stays valid for the
+    program's lifetime.
     """
 
     clauses: tuple[Clause, ...] = ()
@@ -121,6 +128,11 @@ class Program:
     def extended(self) -> tuple[Clause, ...]:
         """The clause list enriched by the co-facts as plain facts (appended last)."""
         return self.clauses + tuple(Clause(a) for a in self.cofacts)
+
+    @cached_property
+    def index(self) -> ClauseIndex:
+        """The program's clause index, built on first use and then kept."""
+        return ClauseIndex(self)
 
     def predicates(self) -> set[tuple[str, int]]:
         """All (name, arity) pairs occurring in clause heads, bodies, or co-facts."""
@@ -132,6 +144,95 @@ class Program:
         for atom in self.cofacts:
             preds.add((atom.predicate, atom.arity))
         return preds
+
+
+def _principal(t: Term):
+    """A term's principal symbol: ``(functor, arity)``, an integer, or None for a variable."""
+    if isinstance(t, Compound):
+        return (t.functor, len(t.args))
+    if isinstance(t, Int):
+        return t.value
+    return None
+
+
+# A group of at most this many clauses is filtered by scanning it; larger
+# groups get a table per argument position, built on first use. Small
+# programs then keep no tables at all.
+_SCAN_LIMIT = 8
+
+
+class ClauseIndex:
+    """Candidate clauses for a goal atom, in program order.
+
+    Clauses are grouped by predicate and arity, once as the bare clauses
+    and once with the co-facts appended as facts. Within a group the
+    selection looks at the first argument position where the goal is bound
+    and keeps the clauses whose head has a variable or the goal's principal
+    symbol there; every other clause would clash in head unification. Also
+    holds the program's :func:`max_var_id`.
+    """
+
+    __slots__ = ("max_var_id", "_groups", "_tables")
+
+    def __init__(self, program: Program):
+        self.max_var_id = max_var_id(program)
+        bare: dict[tuple[str, int], list[Clause]] = {}
+        for clause in program.clauses:
+            bare.setdefault((clause.head.predicate, clause.head.arity), []).append(clause)
+        facts: dict[tuple[str, int], list[Clause]] = {}
+        for atom in program.cofacts:
+            facts.setdefault((atom.predicate, atom.arity), []).append(Clause(atom))
+        # (bare, extended) per predicate; one tuple serves both when the
+        # predicate has no co-facts.
+        self._groups: dict[tuple[str, int], tuple[tuple[Clause, ...], tuple[Clause, ...]]] = {}
+        for key in bare.keys() | facts.keys():
+            clauses = tuple(bare.get(key, ()))
+            self._groups[key] = (clauses, clauses + tuple(facts[key]) if key in facts else clauses)
+        # (predicate, arity, extended, position) -> (principal symbol ->
+        # positions of the clauses with it, positions of the clauses with a variable)
+        self._tables: dict[tuple, tuple[dict, tuple[int, ...]]] = {}
+
+    def candidates(
+        self, atom: Atom, extended: bool, resolve: Callable[[Term], Term]
+    ) -> Sequence[Clause]:
+        """The clauses whose head may unify with ``atom``, in program order.
+
+        ``extended`` selects the clauses plus the co-facts as facts;
+        ``resolve`` dereferences a goal argument one level (see
+        :meth:`cologic.unify.BindStore.resolve`).
+        """
+        group = self._groups.get((atom.predicate, len(atom.args)))
+        if group is None:
+            return ()
+        clauses = group[extended]
+        for position, arg in enumerate(atom.args):
+            symbol = _principal(resolve(arg))
+            if symbol is not None:
+                break
+        else:
+            return clauses
+        if len(clauses) <= _SCAN_LIMIT:
+            return [c for c in clauses if _principal(c.head.args[position]) in (None, symbol)]
+        key = (atom.predicate, len(atom.args), extended, position)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = _position_table(clauses, position)
+        by_symbol, unkeyed = table
+        keyed = by_symbol.get(symbol, ())
+        picks = sorted(keyed + unkeyed) if keyed and unkeyed else keyed or unkeyed
+        return [clauses[i] for i in picks]
+
+
+def _position_table(clauses: Sequence[Clause], position: int) -> tuple[dict, tuple[int, ...]]:
+    by_symbol: dict = {}
+    unkeyed = []
+    for i, clause in enumerate(clauses):
+        symbol = _principal(clause.head.args[position])
+        if symbol is None:
+            unkeyed.append(i)
+        else:
+            by_symbol.setdefault(symbol, []).append(i)
+    return {s: tuple(ids) for s, ids in by_symbol.items()}, tuple(unkeyed)
 
 
 @dataclass

@@ -114,7 +114,9 @@ def _unify_inplace(s: Term, t: Term, store: BindStore) -> bool:
             # terminate (any genuine mismatch surfaces at finite depth).
             continue
         seen.add(key)
-        stack.extend(zip(s.args, t.args))
+        # Reversed, so the first argument pops first: a clash in a list's
+        # head is found before its whole tail is walked.
+        stack.extend(zip(reversed(s.args), reversed(t.args)))
     return True
 
 
@@ -175,7 +177,7 @@ def rational_equal(s: Term, t: Term, store: BindStore) -> bool:
         if key in seen:
             continue
         seen.add(key)
-        stack.extend(zip(s.args, t.args))
+        stack.extend(zip(reversed(s.args), reversed(t.args)))
     return True
 
 
@@ -210,7 +212,7 @@ def variant_equal(s: Term, store_s: BindStore, t: Term, store_t: BindStore) -> b
         if key in seen:
             continue
         seen.add(key)
-        stack.extend(zip(s.args, t.args))
+        stack.extend(zip(reversed(s.args), reversed(t.args)))
     return True
 
 

@@ -160,6 +160,27 @@ def _run_repl(monkeypatch, capsys, lines, argv):
     return code, capsys.readouterr()
 
 
+BAD_CONFIG_FLAGS = [("--revisit-limit", "0"), ("--revisit-limit", "-1"), ("--budget", "-1")]
+
+
+@pytest.mark.parametrize("flags", BAD_CONFIG_FLAGS)
+def test_bad_config_value_exit_2(running_path, capsys, flags):
+    code = main([running_path, *flags, "--query", "?- true."])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("flags", BAD_CONFIG_FLAGS)
+def test_repl_bad_config_value_exit_2(running_path, monkeypatch, capsys, flags):
+    code, captured = _run_repl(monkeypatch, capsys, ["?- true.", ":quit"], [running_path, *flags])
+    assert code == 2
+    assert "true." not in captured.out
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_repl_query_and_quit(running_path, monkeypatch, capsys):
     code, captured = _run_repl(
         monkeypatch, capsys, [MAX_QUERY, "", ":quit"], [running_path]

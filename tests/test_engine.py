@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from cologic import (
@@ -27,6 +29,7 @@ from cologic import (
     parse_program,
     parse_query,
     rational_equal,
+    render_term,
     solve,
     unify,
 )
@@ -492,3 +495,107 @@ def test_soundness_stress_under_varied_configs():
                     continue
                 if answer is not None:
                     assert ground_atom in gen, (program, ground_atom, config)
+
+
+# clause index
+
+# One predicate whose heads mix a variable, a constant, an integer, a
+# compound and a list in first position. The padding clauses push the group
+# past the size at which the index stops scanning and builds position tables.
+INDEXED = """
+k(X, var).
+k(a, const).
+k(3, int).
+{padding}k(f(Y), compound).
+k([1|T], list).
+k(a, const2).
+k(Z, var2).
+cofact(k(a, cofact)).
+"""
+PADDINGS = ("", "".join(f"k(pad({i}), pad).\n" for i in range(10)))
+
+
+def _column(program, text, name, mode="cofacts"):
+    """The rendered value of one query variable in every answer, in order."""
+    out = []
+    for answer in ask_all(program, text, mode=mode):
+        term = dict(answer.equations)[name]
+        out.append(render_term(term, answer.names))
+    return out
+
+
+def _labels(clauses):
+    """The second head argument of each clause, which names it in ``INDEXED``."""
+    return [render_term(c.head.args[1]) for c in clauses]
+
+
+@pytest.fixture(params=PADDINGS, ids=("scanned", "tabled"))
+def indexed(request):
+    return parse_program(INDEXED.format(padding=request.param)), request.param
+
+
+@pytest.mark.parametrize("mode", ["cofacts", "inductive", "coinductive"])
+def test_index_keeps_program_order_in_every_mode(indexed, mode):
+    program, padding = indexed
+    pads = ["pad"] * padding.count("\n")
+    every = ["var", "const", "int", *pads, "compound", "list", "const2", "var2"]
+    assert _column(program, "?- k(A, B).", "B", mode) == every
+    assert _column(program, "?- k(a, B).", "B", mode) == ["var", "const", "const2", "var2"]
+    assert _column(program, "?- k(3, B).", "B", mode) == ["var", "int", "var2"]
+    assert _column(program, "?- k(f(1), B).", "B", mode) == ["var", "compound", "var2"]
+    assert _column(program, "?- k([1, 2], B).", "B", mode) == ["var", "list", "var2"]
+    assert _column(program, "?- k(b, B).", "B", mode) == ["var", "var2"]
+    assert _column(program, "?- k(4, B).", "B", mode) == ["var", "var2"]
+
+
+def test_index_selects_on_the_first_bound_position(indexed):
+    program, _ = indexed
+    goal = Atom("k", (Var(1000), Compound("const")))
+    assert _labels(program.index.candidates(goal, False, BindStore().resolve)) == ["const"]
+    assert _column(program, "?- k(A, const).", "A") == ["a"]
+    assert _column(program, "?- k(A, var2).", "A") == ["A"]  # left unbound
+
+
+def test_index_dereferences_an_alias_chain(indexed):
+    program, _ = indexed
+    store = BindStore()
+    X, Y, Z = Var(1000), Var(1001), Var(1002)
+    assert unify(X, Y, store) and unify(Y, Z, store) and unify(Z, Compound("a"), store)
+    goal = Atom("k", (X, Var(1003)))
+    assert _labels(program.index.candidates(goal, False, store.resolve)) == [
+        "var", "const", "const2", "var2"]
+    query = "?- X = Y, Y = Z, Z = a, k(X, B)."
+    assert _column(program, query, "B") == ["var", "const", "const2", "var2"]
+
+
+def test_index_on_a_cyclic_first_argument(indexed):
+    program, _ = indexed
+    assert _column(program, "?- L = [1|L], k(L, B).", "B") == ["var", "list", "var2"]
+    assert _column(program, "?- L = [2|L], k(L, B).", "B") == ["var", "var2"]
+    assert _column(program, "?- L = [1|L], k(L, B).", "L") == ["[1|L]"] * 3
+
+
+def test_index_cofacts_last_in_bounded_stratum_only(indexed):
+    program, _ = indexed
+    for extended, expected in ((False, ["var", "const", "const2", "var2"]),
+                               (True, ["var", "const", "const2", "var2", "cofact"])):
+        res = Resolution(program)
+        B = Var(1000)
+        goal = (Atom("k", (Compound("a"), B)),)
+        if extended:
+            runs = res.solve_lfp(goal, LfpCounts())
+        else:
+            runs = res.solve_co(goal, ())
+        assert [render_term(res.store.resolve(B)) for _ in runs] == expected
+    store = BindStore()
+    goal = Atom("k", (Compound("a"), Var(1000)))
+    assert _labels(program.index.candidates(goal, True, store.resolve))[-1] == "cofact"
+    assert "cofact" not in _labels(program.index.candidates(goal, False, store.resolve))
+
+
+def test_program_is_immutable(indexed):
+    program, _ = indexed
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        program.clauses = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        program.cofacts = ()
