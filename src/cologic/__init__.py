@@ -9,16 +9,7 @@ co-facts; a brute-force oracle over the finite ground fragment provides
 the declarative semantics the engine is tested against.
 """
 
-from .engine import (
-    Answer,
-    EngineConfig,
-    LfpCounts,
-    Resolution,
-    eval_builtin,
-    hyp_lookup,
-    is_builtin,
-    solve,
-)
+from .engine import Answer, EngineConfig, solve
 from .errors import (
     CologicError,
     EvaluationError,
@@ -34,13 +25,10 @@ from .oracle import (
     bounded_coinduction_check,
     coind_semantics,
     generated_semantics,
-    ground_instances,
-    herbrand_base,
     ind_semantics,
-    op_step,
     universe_for,
 )
-from .parser import SourceProgram, parse_program, parse_query
+from .parser import parse_program, parse_query
 from .terms import (
     Atom,
     Clause,
@@ -51,31 +39,16 @@ from .terms import (
     Query,
     Term,
     Var,
-    VarSource,
-    fresh_rename,
     list_term,
-    max_var_id,
     render_atom,
     render_clause,
     render_program,
     render_term,
-    substitute,
-    term_vars,
-    with_universal_cofacts,
-)
-from .unify import (
-    BindStore,
-    extract_answer,
-    rational_equal,
-    unify,
-    unify_atoms,
-    variant_equal,
 )
 
 __all__ = [
     "Answer",
     "Atom",
-    "BindStore",
     "BoundedCoinductionReport",
     "Clause",
     "CologicError",
@@ -87,44 +60,24 @@ __all__ = [
     "InstantiationError",
     "Int",
     "InternalError",
-    "LfpCounts",
     "ParseError",
     "Program",
     "Query",
-    "Resolution",
     "ResourceLimitError",
-    "SourceProgram",
     "Term",
     "UnsupportedProgramError",
     "Var",
-    "VarSource",
     "bounded_coinduction_check",
     "coind_semantics",
-    "eval_builtin",
-    "extract_answer",
-    "fresh_rename",
     "generated_semantics",
-    "ground_instances",
-    "herbrand_base",
-    "hyp_lookup",
     "ind_semantics",
-    "is_builtin",
     "list_term",
-    "max_var_id",
-    "op_step",
     "parse_program",
     "parse_query",
-    "rational_equal",
     "render_atom",
     "render_clause",
     "render_program",
     "render_term",
     "solve",
-    "substitute",
-    "term_vars",
-    "unify",
-    "unify_atoms",
     "universe_for",
-    "variant_equal",
-    "with_universal_cofacts",
 ]

@@ -16,31 +16,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 
 from .engine import MODES, Answer, EngineConfig, solve
 from .errors import CologicError, ParseError
 from .oracle import coind_semantics, generated_semantics, ind_semantics, universe_for
 from .parser import parse_program, parse_query
 from .terms import Program, Var, render_atom, render_term
-
-
-@dataclass
-class CliConfig:
-    mode: str = "cofacts"
-    all_answers: bool = False
-    revisit_limit: int = 2
-    hyp_cut: bool = True
-    step_budget: int | None = None
-    oracle: bool = False
-
-    def engine_config(self) -> EngineConfig:
-        return EngineConfig(
-            mode=self.mode,
-            lfp_revisit_limit=self.revisit_limit,
-            hyp_cut=self.hyp_cut,
-            step_budget=self.step_budget,
-        )
 
 
 def format_answer(answer: Answer) -> str:
@@ -83,7 +65,13 @@ def _load_program(path: str) -> Program:
     return parse_program(text, origin=path)
 
 
-def run_file(path: str | None, queries: list[str], cfg: CliConfig) -> int:
+def run_file(
+    path: str | None,
+    queries: list[str],
+    config: EngineConfig,
+    all_answers: bool = False,
+    oracle: bool = False,
+) -> int:
     """Load a program, optionally print the oracle report, run the queries."""
     try:
         program = _load_program(path) if path else Program()
@@ -92,23 +80,22 @@ def run_file(path: str | None, queries: list[str], cfg: CliConfig) -> int:
         return 2
     had_error = False
     all_answered = True
-    if cfg.oracle:
+    if oracle:
         try:
             print(oracle_report(program))
         except CologicError as exc:
             print(exc, file=sys.stderr)
             had_error = True
-    engine_cfg = cfg.engine_config()
     for text in queries:
         try:
             query = parse_query(text)
             got_answer = False
-            for i, answer in enumerate(solve(program, query, engine_cfg)):
+            for i, answer in enumerate(solve(program, query, config)):
                 if i > 0:
                     print(";")
                 print(format_answer(answer))
                 got_answer = True
-                if not cfg.all_answers:
+                if not all_answers:
                     break
             if not got_answer:
                 print("false.")
@@ -121,9 +108,9 @@ def run_file(path: str | None, queries: list[str], cfg: CliConfig) -> int:
     return 0 if all_answered else 1
 
 
-def repl_loop(path: str | None = None, cfg: CliConfig | None = None) -> int:
+def repl_loop(path: str | None = None, config: EngineConfig | None = None) -> int:
     """Interactive session: queries, ``;`` for the next answer, ``:`` meta-commands."""
-    cfg = cfg or CliConfig()
+    config = config or EngineConfig()
     program = Program()
     if path:
         try:
@@ -144,7 +131,7 @@ def repl_loop(path: str | None = None, cfg: CliConfig | None = None) -> int:
                 return 0
             if command == ":mode":
                 if argument in MODES:
-                    cfg.mode = argument
+                    config = replace(config, mode=argument)
                 else:
                     print(f"unknown mode {argument!r}", file=sys.stderr)
             elif command == ":load":
@@ -160,17 +147,17 @@ def repl_loop(path: str | None = None, cfg: CliConfig | None = None) -> int:
             else:
                 print(f"unknown command {command!r}", file=sys.stderr)
             continue
-        _repl_query(line, program, cfg)
+        _repl_query(line, program, config)
 
 
-def _repl_query(text: str, program: Program, cfg: CliConfig) -> None:
+def _repl_query(text: str, program: Program, config: EngineConfig) -> None:
     try:
         query = parse_query(text, origin="<repl>")
     except ParseError as exc:
         print(exc, file=sys.stderr)
         return
     try:
-        answers = solve(program, query, cfg.engine_config())
+        answers = solve(program, query, config)
         any_answer = False
         for answer in answers:
             any_answer = True
@@ -232,24 +219,22 @@ def main(argv: list[str] | None = None) -> int:
         help="print the declarative-semantics report for the loaded program",
     )
     args = parser.parse_args(argv)
-    cfg = CliConfig(
+    limits = (("--revisit-limit", args.revisit_limit, 1), ("--budget", args.budget, 0))
+    for flag, value, least in limits:
+        if value is not None and value < least:
+            # Reported like any other error; argparse.error would raise
+            # SystemExit, which escapes callers that run main in-process.
+            print(f"cologic: {flag} must be >= {least}", file=sys.stderr)
+            return 2
+    config = EngineConfig(
         mode=args.mode,
-        all_answers=args.all,
-        revisit_limit=args.revisit_limit,
+        lfp_revisit_limit=args.revisit_limit,
         hyp_cut=not args.no_hyp_cut,
         step_budget=args.budget,
-        oracle=args.oracle,
     )
-    try:
-        cfg.engine_config()
-    except ValueError as exc:
-        # Reported like any other error; argparse.error would raise
-        # SystemExit, which escapes callers that run main in-process.
-        print(f"cologic: {exc}", file=sys.stderr)
-        return 2
     if args.query or args.oracle:
-        return run_file(args.file, args.query, cfg)
-    return repl_loop(args.file, cfg)
+        return run_file(args.file, args.query, config, args.all, args.oracle)
+    return repl_loop(args.file, config)
 
 
 if __name__ == "__main__":

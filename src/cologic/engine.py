@@ -1,9 +1,16 @@
 """Co-SLD resolution where revisited goals must pass a bounded finiteness check.
 
 ``solve`` enumerates answers depth-first, leftmost atom first, clauses in
-program order. Each non-builtin atom is resolved in two strata:
+program order. One loop, :meth:`Resolution._run`, serves both strata. It
+keeps a goal list, linked as ``(atom, context, rest)``, and a stack of
+choice points that each hold a trail mark (as in the WAM: Ait-Kaci 1991,
+*Warren's Abstract Machine: A Tutorial Reconstruction*). Each step
+selects the first goal and charges the step budget. Builtins (``=``,
+comparisons, ``is`` arithmetic, ...) are evaluated at one site and never
+enter the hypothesis set or the revisit counts. For any other atom, the
+goal's context picks the stratum:
 
-* Hypothesis stratum (:meth:`Resolution.solve_co`): the atoms selected
+* Hypothesis stratum (context: a tuple of hypotheses): the atoms selected
   along the current branch are carried as *coinductive hypotheses*. A
   goal atom that unifies with a hypothesis does not simply succeed (as in
   plain coinductive resolution); instead a standard SLD resolution of
@@ -12,15 +19,16 @@ program order. Each non-builtin atom is resolved in two strata:
   never falls through to ordinary clause resolution, which curbs
   divergence at the price of missing some answers.
 
-* Bounded SLD stratum (:meth:`Resolution.solve_lfp`): ordinary SLD over
+* Bounded SLD stratum (context: :class:`LfpCounts`): ordinary SLD over
   the clauses plus the co-facts as plain facts, except that an atom whose
   unifiable-atom class was already processed ``lfp_revisit_limit`` times
   on this branch fails outright, with no backtracking into its
   alternatives.
 
-Builtins (``=``, comparisons, ``is`` arithmetic, ...) are evaluated
-directly in both strata and never enter the hypothesis set or the
-revisit counts.
+The loop does not recurse per selected goal, so branch depth is not
+limited by Python's recursion limit. Three walks still recurse on term
+depth: :meth:`Resolution._snapshot_atom` (a cyclic list of period 300
+overflows it), :func:`cologic.unify.extract_answer` and the parser.
 
 Both strata select clauses through the program's clause index
 (:class:`cologic.terms.ClauseIndex`): on the predicate and arity, then on
@@ -34,8 +42,10 @@ is built on a program's first query and kept, which is safe because
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from itertools import chain
+from typing import Iterator, Optional, Sequence
 
 from .errors import EvaluationError, InstantiationError, ResourceLimitError
 from .terms import (
@@ -52,7 +62,6 @@ from .terms import (
     fresh_rename,
     max_var_id,
     render_term,
-    with_universal_cofacts,
 )
 from .unify import BindStore, extract_answer, unify, unify_atoms
 
@@ -101,7 +110,10 @@ def is_builtin(atom: Atom) -> bool:
     return (atom.predicate, atom.arity) in BUILTIN_SIGNATURES
 
 
-_ARITH_FUNCTORS = ("+", "-", "*", "//", "max", "min")
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "//": operator.floordiv, "max": max, "min": min}
+_COMPARE = {"<": operator.lt, ">": operator.gt, ">=": operator.ge,
+            "=<": operator.le, "=:=": operator.eq, "=\\=": operator.ne}
 
 
 def eval_arith(t: Term, store: BindStore) -> int:
@@ -111,22 +123,13 @@ def eval_arith(t: Term, store: BindStore) -> int:
         return t.value
     if isinstance(t, Var):
         raise InstantiationError("unbound variable in arithmetic")
-    if t.functor in _ARITH_FUNCTORS and len(t.args) == 2:
+    op = _ARITH.get(t.functor)
+    if op is not None and len(t.args) == 2:
         a = eval_arith(t.args[0], store)
         b = eval_arith(t.args[1], store)
-        if t.functor == "+":
-            return a + b
-        if t.functor == "-":
-            return a - b
-        if t.functor == "*":
-            return a * b
-        if t.functor == "//":
-            if b == 0:
-                raise EvaluationError("division by zero")
-            return a // b
-        if t.functor == "max":
-            return max(a, b)
-        return min(a, b)
+        if op is operator.floordiv and b == 0:
+            raise EvaluationError("division by zero")
+        return op(a, b)
     raise InstantiationError(f"cannot evaluate {render_term(t)} as an integer")
 
 
@@ -152,19 +155,7 @@ def eval_builtin(atom: Atom, store: BindStore) -> bool:
         return not unifiable
     if name == "is":
         return unify(left, Int(eval_arith(right, store)), store)
-    a = eval_arith(left, store)
-    b = eval_arith(right, store)
-    if name == "<":
-        return a < b
-    if name == ">":
-        return a > b
-    if name == ">=":
-        return a >= b
-    if name == "=<":
-        return a <= b
-    if name == "=:=":
-        return a == b
-    return a != b  # =\=
+    return _COMPARE[name](eval_arith(left, store), eval_arith(right, store))
 
 
 def hyp_lookup(atom: Atom, hyps: Sequence[Atom], store: BindStore) -> list[Atom]:
@@ -206,9 +197,6 @@ class LfpCounts:
                 return i
         return None
 
-    def count_at(self, index: int) -> int:
-        return self.entries[index][1]
-
     def incremented(self, index: int) -> "LfpCounts":
         key, count = self.entries[index]
         entries = list(self.entries)
@@ -217,6 +205,17 @@ class LfpCounts:
 
     def inserted(self, key: Atom) -> "LfpCounts":
         return LfpCounts(self.entries + ((key, 1),))
+
+
+# A goal list: None when empty, else ``(atom, context, rest)``.
+_Goals = Optional[tuple]
+
+
+def _goal_list(atoms: Sequence[Atom], context, rest: _Goals) -> _Goals:
+    """Push ``atoms``, leftmost first, in front of ``rest``, all under ``context``."""
+    for atom in reversed(atoms):
+        rest = (atom, context, rest)
+    return rest
 
 
 class Resolution:
@@ -235,7 +234,7 @@ class Resolution:
     ):
         self.config = config or EngineConfig()
         if self.config.mode == "coinductive":
-            program = with_universal_cofacts(program)
+            program = program.universal
         self.program = program
         self.store = store if store is not None else BindStore()
         self.vars = var_source or VarSource(program.index.max_var_id + 1)
@@ -251,80 +250,81 @@ class Resolution:
             )
         self._steps_left -= 1
 
-    # hypothesis stratum
-
     def solve_co(self, atoms: tuple[Atom, ...], hyps: tuple[Atom, ...] = ()) -> Iterator[None]:
         """Resolve a goal under coinductive hypotheses; yields once per solution.
 
         The store holds the solution's bindings at each yield; resuming
         the iterator backtracks.
         """
-        if not atoms:
-            yield
-            return
-        first, rest = atoms[0], atoms[1:]
-        for _ in self._co_atom(first, hyps):
-            yield from self.solve_co(rest, hyps)
-
-    def _co_atom(self, atom: Atom, hyps: tuple[Atom, ...]) -> Iterator[None]:
-        self._tick()
-        if is_builtin(atom):
-            start = self.store.mark()
-            if eval_builtin(atom, self.store):
-                yield
-            self.store.rollback(start)
-            return
-        candidates = hyp_lookup(atom, hyps, self.store)
-        for hyp in candidates:
-            start = self.store.mark()
-            if unify_atoms(atom, hyp, self.store):
-                # Revisited goal: demand a bounded standard proof in the
-                # co-fact-enriched program, under the hypothesis bindings.
-                yield from self.solve_lfp((atom,), LfpCounts())
-            self.store.rollback(start)
-        if candidates and self.config.hyp_cut:
-            return
-        for clause in self.program.index.candidates(atom, False, self.store.resolve):
-            start = self.store.mark()
-            renamed = fresh_rename(clause, self.vars)
-            if unify_atoms(atom, renamed.head, self.store):
-                yield from self.solve_co(renamed.body, hyps + (atom,))
-            self.store.rollback(start)
-
-    # bounded SLD stratum
+        return self._run(_goal_list(atoms, hyps, None))
 
     def solve_lfp(self, atoms: tuple[Atom, ...], counts: LfpCounts) -> Iterator[None]:
         """Standard SLD over clauses + co-facts-as-facts, bounded by revisit counts."""
-        if not atoms:
-            yield
-            return
-        first, rest = atoms[0], atoms[1:]
-        for _ in self._lfp_atom(first, counts):
-            # Siblings see the counts from before this atom was processed.
-            yield from self.solve_lfp(rest, counts)
+        return self._run(_goal_list(atoms, counts, None))
 
-    def _lfp_atom(self, atom: Atom, counts: LfpCounts) -> Iterator[None]:
-        self._tick()
-        if is_builtin(atom):
-            start = self.store.mark()
-            if eval_builtin(atom, self.store):
+    def _run(self, goals: _Goals) -> Iterator[None]:
+        """Depth-first search over a goal list; yields once per solution.
+
+        Each goal carries its stratum's context: a tuple of hypotheses, or
+        the :class:`LfpCounts` of a bounded proof. A choice point holds the
+        trail mark, the atom, the goals after it, the context of the
+        clause bodies it will push, and its untried alternatives:
+        hypothesis hits (atoms) and clauses. Exhausting the search rolls
+        the store back to where it started.
+        """
+        store, index = self.store, self.program.index
+        base = store.mark()
+        choices: list[tuple[int, Atom, _Goals, object, Iterator]] = []
+        while True:
+            if goals is None:
                 yield
-            self.store.rollback(start)
-            return
-        index = counts.lookup(atom, self.store)
-        if index is not None:
-            if counts.count_at(index) >= self.config.lfp_revisit_limit:
-                return  # fail the atom outright, alternatives included
-            counts = counts.incremented(index)
-        else:
-            counts = counts.inserted(self._snapshot_atom(atom))
-        candidates = self.program.index.candidates(atom, self._lfp_extended, self.store.resolve)
-        for clause in candidates:
-            start = self.store.mark()
-            renamed = fresh_rename(clause, self.vars)
-            if unify_atoms(atom, renamed.head, self.store):
-                yield from self.solve_lfp(renamed.body, counts)
-            self.store.rollback(start)
+            else:
+                atom, context, rest = goals
+                self._tick()
+                if is_builtin(atom):
+                    if eval_builtin(atom, store):
+                        goals = rest
+                        continue
+                elif isinstance(context, LfpCounts):
+                    found = context.lookup(atom, store)
+                    # At the revisit limit the atom fails outright, alternatives included.
+                    if found is None or context.entries[found][1] < self.config.lfp_revisit_limit:
+                        if found is None:
+                            counts = context.inserted(self._snapshot_atom(atom))
+                        else:
+                            counts = context.incremented(found)
+                        clauses = index.candidates(atom, self._lfp_extended, store.resolve)
+                        choices.append((store.mark(), atom, rest, counts, iter(clauses)))
+                else:
+                    hits = hyp_lookup(atom, context, store)
+                    if hits and self.config.hyp_cut:
+                        clauses = ()
+                    else:
+                        clauses = index.candidates(atom, False, store.resolve)
+                    choices.append((store.mark(), atom, rest, context + (atom,), chain(hits, clauses)))
+            # Backtrack to the newest choice point with an alternative that applies.
+            while True:
+                if not choices:
+                    store.rollback(base)
+                    return
+                mark, atom, rest, body_context, alternatives = choices[-1]
+                alternative = next(alternatives, None)
+                if alternative is None:
+                    choices.pop()
+                    continue
+                store.rollback(mark)
+                if isinstance(alternative, Atom):
+                    # Revisited goal: demand a bounded standard proof in the
+                    # co-fact-enriched program, under the hypothesis bindings.
+                    if unify_atoms(atom, alternative, store):
+                        goals = (atom, LfpCounts(), rest)
+                        break
+                else:
+                    renamed = fresh_rename(alternative, self.vars)
+                    if unify_atoms(atom, renamed.head, store):
+                        # Siblings keep their own context; only the body sees this one.
+                        goals = _goal_list(renamed.body, body_context, rest)
+                        break
 
     def _snapshot_atom(self, atom: Atom) -> Atom:
         """Copy an atom under its current bindings, with fresh variables.
@@ -371,10 +371,7 @@ def solve(
     source = VarSource(max(program.index.max_var_id, max_var_id(goal)) + 1)
     resolution = Resolution(program, config, var_source=source)
     ordered_vars = [(name, vid) for vid, name in var_names.items()]
-    if config.mode == "inductive":
-        successes = resolution.solve_lfp(goal.atoms, LfpCounts())
-    else:
-        successes = resolution.solve_co(goal.atoms, ())
-    for _ in successes:
+    context = LfpCounts() if config.mode == "inductive" else ()
+    for _ in resolution._run(_goal_list(goal.atoms, context, None)):
         equations, names = extract_answer(ordered_vars, resolution.store)
         yield Answer(equations, names)

@@ -134,26 +134,25 @@ def herbrand_base(clauses: Sequence[Clause], universe: GroundUniverse) -> frozen
     )
 
 
-def ind_semantics(clauses: Sequence[Clause], universe: GroundUniverse) -> frozenset[Atom]:
-    """Least model: iterate the one-step operator up from the empty set."""
-    ground = ground_instances(clauses, universe)
-    current: frozenset[Atom] = frozenset()
+def _fixpoint(step, current: frozenset[Atom]) -> frozenset[Atom]:
+    """Apply ``step`` from ``current`` until the interpretation stops changing."""
     while True:
-        nxt = op_step(ground, current)
+        nxt = step(current)
         if nxt == current:
             return current
         current = nxt
+
+
+def ind_semantics(clauses: Sequence[Clause], universe: GroundUniverse) -> frozenset[Atom]:
+    """Least model: iterate the one-step operator up from the empty set."""
+    ground = ground_instances(clauses, universe)
+    return _fixpoint(lambda interp: op_step(ground, interp), frozenset())
 
 
 def coind_semantics(clauses: Sequence[Clause], universe: GroundUniverse) -> frozenset[Atom]:
     """Greatest consistent interpretation: iterate down from the full atom base."""
     ground = ground_instances(clauses, universe)
-    current = herbrand_base(clauses, universe)
-    while True:
-        nxt = op_step(ground, current)
-        if nxt == current:
-            return current
-        current = nxt
+    return _fixpoint(lambda interp: op_step(ground, interp), herbrand_base(clauses, universe))
 
 
 def generated_semantics(program: Program, universe: GroundUniverse) -> frozenset[Atom]:
@@ -164,12 +163,7 @@ def generated_semantics(program: Program, universe: GroundUniverse) -> frozenset
     """
     bound = ind_semantics(program.extended(), universe)
     ground = ground_instances(program.clauses, universe)
-    current = bound
-    while True:
-        nxt = current & op_step(ground, current)
-        if nxt == current:
-            return current
-        current = nxt
+    return _fixpoint(lambda interp: interp & op_step(ground, interp), bound)
 
 
 @dataclass(frozen=True)

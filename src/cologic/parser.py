@@ -41,12 +41,6 @@ from .terms import (
 
 
 @dataclass(frozen=True)
-class SourceProgram:
-    text: str
-    origin: str = "<string>"
-
-
-@dataclass(frozen=True)
 class _Token:
     kind: str  # "name" | "var" | "int" | "punct" | "eof"
     text: str
@@ -310,27 +304,19 @@ class _Parser:
         return Query(Goal(atoms), names)
 
 
-def parse_program(src: str | SourceProgram, origin: str = "<string>") -> Program:
+def parse_program(text: str, origin: str = "<string>") -> Program:
     """Parse program text into clauses and co-facts, in source order.
 
     Each clause's variables are standardized apart (globally unique ids);
     the source spellings are kept in ``Program.var_names``.
     """
-    if isinstance(src, SourceProgram):
-        text, origin = src.text, src.origin
-    else:
-        text = src
     return _Parser(text, origin, VarSource()).program()
 
 
-def parse_query(src: str | SourceProgram, origin: str = "<query>") -> Query:
+def parse_query(text: str, origin: str = "<query>") -> Query:
     """Parse ``?- A1, ..., An.`` (the ``?-`` and final ``.`` are optional).
 
     Records the named query variables for answer extraction; ``true``
     atoms are erased.
     """
-    if isinstance(src, SourceProgram):
-        text, origin = src.text, src.origin
-    else:
-        text = src
     return _Parser(text, origin, VarSource()).query()

@@ -3,10 +3,10 @@
 Terms are always finite trees here. Rational (cyclic) structure never lives
 inside a ``Term`` value; it is represented by bindings in a
 :class:`cologic.unify.BindStore`. Everything in this module is immutable
-after construction and safe to share across threads. The one exception,
-a program's :class:`ClauseIndex`, fills in its parts on first use; each
-part depends only on the program, so threads that build one concurrently
-build equal ones.
+after construction and safe to share across threads. The exceptions, a
+program's :class:`ClauseIndex` and its universal-co-fact program, are
+filled in on first use; each depends only on the program, so threads that
+build one concurrently build equal ones.
 
 Lists are sugar: ``[]`` is the constant ``Compound("[]")`` and ``[H|T]`` is
 ``Compound(".", (H, T))``. The parser desugars and the renderer resugars.
@@ -117,8 +117,8 @@ class Program:
     (see :mod:`cologic.engine`). ``var_names`` maps variable ids back to
     their source spelling, for printing only.
 
-    Immutable, so the clause index built on first use stays valid for the
-    program's lifetime.
+    Immutable, so the clause index and the universal-co-fact program built
+    on first use stay valid for the program's lifetime.
     """
 
     clauses: tuple[Clause, ...] = ()
@@ -133,6 +133,11 @@ class Program:
     def index(self) -> ClauseIndex:
         """The program's clause index, built on first use and then kept."""
         return ClauseIndex(self)
+
+    @cached_property
+    def universal(self) -> Program:
+        """:func:`with_universal_cofacts` of this program, built on first use and then kept."""
+        return with_universal_cofacts(self)
 
     def predicates(self) -> set[tuple[str, int]]:
         """All (name, arity) pairs occurring in clause heads, bodies, or co-facts."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 from cologic import (
     Answer,
     Atom,
-    BindStore,
     Clause,
     Compound,
     EngineConfig,
@@ -24,10 +23,9 @@ from cologic import (
     Var,
     parse_query,
     solve,
-    substitute,
-    unify,
-    variant_equal,
 )
+from cologic.terms import substitute
+from cologic.unify import BindStore, unify, variant_equal
 
 RUNNING_EXAMPLE = """
 all_pos([]).

@@ -10,7 +10,6 @@ import random
 import time
 
 from cologic import (
-    BindStore,
     Compound,
     EngineConfig,
     Goal,
@@ -20,19 +19,22 @@ from cologic import (
     Var,
     bounded_coinduction_check,
     coind_semantics,
-    extract_answer,
     generated_semantics,
-    herbrand_base,
     ind_semantics,
     list_term,
     parse_program,
     parse_query,
-    rational_equal,
     solve,
-    unify,
     universe_for,
+)
+from cologic.oracle import herbrand_base
+from cologic.terms import with_universal_cofacts
+from cologic.unify import (
+    BindStore,
+    extract_answer,
+    rational_equal,
+    unify,
     variant_equal,
-    with_universal_cofacts,
 )
 from corpus import corpus, small_hb_corpus
 from helpers import (

@@ -6,8 +6,8 @@ import io
 
 import pytest
 
-from cologic import Answer, Compound, Int, Var
-from cologic.cli import CliConfig, format_answer, main, oracle_report, run_file
+from cologic import Answer, Compound, EngineConfig, Int, Var
+from cologic.cli import format_answer, main, oracle_report, run_file
 from helpers import PQ_EXAMPLE, RUNNING_EXAMPLE
 
 MAX_QUERY = "?- L = [1,2|L], max(L, M)."
@@ -171,6 +171,7 @@ def test_bad_config_value_exit_2(running_path, capsys, flags):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "Traceback" not in captured.err
+    assert captured.err.startswith(f"cologic: {flags[0]} must be >= ")
 
 
 @pytest.mark.parametrize("flags", BAD_CONFIG_FLAGS)
@@ -179,6 +180,7 @@ def test_repl_bad_config_value_exit_2(running_path, monkeypatch, capsys, flags):
     assert code == 2
     assert "true." not in captured.out
     assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"cologic: {flags[0]} must be >= ")
 
 
 def test_repl_query_and_quit(running_path, monkeypatch, capsys):
@@ -258,9 +260,9 @@ def test_repl_empty_line_reprompts(monkeypatch, capsys):
 
 
 def test_run_file_multiple_queries_exit_codes(running_path):
-    cfg = CliConfig()
-    assert run_file(running_path, ["?- true.", "?- fail."], cfg) == 1
-    assert run_file(running_path, ["?- true."], cfg) == 0
+    config = EngineConfig()
+    assert run_file(running_path, ["?- true.", "?- fail."], config) == 1
+    assert run_file(running_path, ["?- true."], config) == 0
 
 
 def test_oracle_report_function(pq_path):

@@ -8,31 +8,25 @@ import pytest
 
 from cologic import (
     Atom,
-    BindStore,
     Compound,
     EngineConfig,
     EvaluationError,
     Goal,
     InstantiationError,
     Int,
-    LfpCounts,
     Program,
     Query,
-    Resolution,
     ResourceLimitError,
     Var,
-    VarSource,
-    eval_builtin,
-    hyp_lookup,
-    is_builtin,
     list_term,
     parse_program,
     parse_query,
-    rational_equal,
     render_term,
     solve,
-    unify,
 )
+from cologic.engine import LfpCounts, Resolution, eval_builtin, hyp_lookup, is_builtin
+from cologic.terms import VarSource
+from cologic.unify import BindStore, rational_equal, unify
 from helpers import PQ_EXAMPLE, RUNNING_EXAMPLE, ask, ask_all, atom, succeeds
 
 
@@ -295,7 +289,7 @@ def test_mode_validation():
 
 
 def test_coinductive_mode_matches_manual_universal_cofacts(running):
-    from cologic import with_universal_cofacts
+    from cologic.terms import with_universal_cofacts
 
     manual = with_universal_cofacts(running)
     for q in (
@@ -309,6 +303,22 @@ def test_coinductive_mode_matches_manual_universal_cofacts(running):
     for prog, mode in ((running, "coinductive"), (manual, "cofacts")):
         with pytest.raises(InstantiationError):
             ask(prog, "?- L = [1,2|L], max(L, 4).", mode=mode)
+
+
+def test_coinductive_mode_builds_universal_program_once(monkeypatch):
+    from cologic import terms
+
+    built = []
+    build = terms.with_universal_cofacts
+    monkeypatch.setattr(terms, "with_universal_cofacts", lambda p: built.append(p) or build(p))
+    program = parse_program("p :- p.")
+    assert not succeeds(program, "p.")
+    assert built == []  # neither parsing nor a cofacts query builds it
+    for _ in range(2):
+        assert succeeds(program, "p.", mode="coinductive")
+    assert built == [program]
+    config = EngineConfig(mode="coinductive")
+    assert Resolution(program, config).program is Resolution(program, config).program
 
 
 MODE_COHERENCE_CORPUS = [
@@ -434,7 +444,8 @@ def test_nonground_query_answers_are_sound():
     # not just ground success/failure.
     import itertools
 
-    from cologic import generated_semantics, herbrand_base, universe_for
+    from cologic import generated_semantics, universe_for
+    from cologic.oracle import herbrand_base
     from corpus import corpus
     from helpers import answer_store
 
@@ -472,7 +483,8 @@ def test_soundness_stress_under_varied_configs():
     # risky configurations (no hypothesis cut, larger revisit limit). A
     # budget catches divergence without the cut; an aborted search proves
     # nothing and so cannot be unsound.
-    from cologic import generated_semantics, herbrand_base, universe_for
+    from cologic import generated_semantics, universe_for
+    from cologic.oracle import herbrand_base
     from corpus import corpus
 
     configs = [

@@ -16,14 +16,12 @@ from cologic import (
     bounded_coinduction_check,
     coind_semantics,
     generated_semantics,
-    ground_instances,
-    herbrand_base,
     ind_semantics,
-    op_step,
     parse_program,
     universe_for,
-    with_universal_cofacts,
 )
+from cologic.oracle import ground_instances, herbrand_base, op_step
+from cologic.terms import with_universal_cofacts
 from corpus import corpus
 from helpers import PQ_EXAMPLE, atom
 

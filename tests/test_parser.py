@@ -11,13 +11,12 @@ from cologic import (
     Compound,
     Int,
     ParseError,
-    SourceProgram,
     Var,
     parse_program,
     parse_query,
     render_program,
-    term_vars,
 )
+from cologic.terms import term_vars
 from corpus import random_datalog_program
 from helpers import PQ_EXAMPLE, RUNNING_EXAMPLE, alpha_equal_program
 
@@ -129,7 +128,7 @@ def test_error_positions_point_into_offending_token():
 
 def test_parse_error_mentions_origin():
     with pytest.raises(ParseError, match="myfile.colp:1:3"):
-        parse_program(SourceProgram("p(&).", origin="myfile.colp"))
+        parse_program("p(&).", origin="myfile.colp")
 
 
 def test_bare_term_is_not_an_atom():

@@ -89,3 +89,28 @@ def test_inductive_mode_rejects_cyclic_lists(running):
     assert not succeeds(running, cyclic_query([3], [1], "max(L, 3)"), mode="inductive")
     # member keeps its inductive meaning even on cyclic lists
     assert succeeds(running, cyclic_query([], [1, 2], "member(2, L)"), mode="inductive")
+
+
+# The resolver keeps its goals and choice points in lists, not on Python's
+# stack, so branch depth is bounded by memory, not the recursion limit.
+DEEP = 600
+
+
+def _first_answer(program, text: str):
+    from cologic import parse_query, solve
+    from cologic.cli import format_answer
+
+    answer = next(iter(solve(program, parse_query(text))), None)
+    return None if answer is None else format_answer(answer)
+
+
+@pytest.mark.parametrize("goal,expected", [("all_pos({})", "true."), ("max({}, M)", f"M = {DEEP}")])
+def test_deep_finite_list(running, goal, expected):
+    items = "[" + ", ".join(str(i) for i in range(1, DEEP + 1)) + "]"
+    assert _first_answer(running, f"?- {goal.format(items)}.") == expected
+
+
+def test_long_cycle_max(running):
+    items = ", ".join(str(i) for i in range(1, 201))
+    answer = _first_answer(running, f"?- L = [{items}|L], max(L, M).")
+    assert answer is not None and answer.endswith("\nM = 200")

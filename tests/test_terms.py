@@ -11,12 +11,14 @@ from cologic import (
     Compound,
     Int,
     Var,
-    VarSource,
-    fresh_rename,
     list_term,
-    max_var_id,
     parse_program,
     render_term,
+)
+from cologic.terms import (
+    VarSource,
+    fresh_rename,
+    max_var_id,
     substitute,
     term_vars,
     with_universal_cofacts,

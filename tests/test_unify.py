@@ -6,17 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cologic import (
-    Atom,
+from cologic import Atom, Compound, Int, InternalError, Var, list_term, render_term
+from cologic.unify import (
     BindStore,
-    Compound,
-    Int,
-    InternalError,
-    Var,
     extract_answer,
-    list_term,
     rational_equal,
-    render_term,
     unify,
     unify_atoms,
     variant_equal,
