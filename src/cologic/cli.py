@@ -9,7 +9,9 @@ Usage::
 Answers print one ``Var = Term`` line per query variable (cyclic bindings
 in back-reference form), ``true.`` for a variable-free success, and
 ``false.`` when a query has no answer. Exit status: 0 when every query
-had at least one answer, 1 otherwise, 2 on any error.
+had at least one answer, 1 otherwise, 2 on any error. A term nested too
+deeply for Python's recursion limit is reported as an error too, in one
+line, never as a traceback.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 from dataclasses import replace
 
 from .engine import MODES, Answer, EngineConfig, solve
-from .errors import CologicError, ParseError
+from .errors import CologicError
 from .oracle import coind_semantics, generated_semantics, ind_semantics, universe_for
 from .parser import parse_program, parse_query
 from .terms import Program, Var, render_atom, render_term
@@ -59,6 +61,19 @@ def oracle_report(program: Program) -> str:
     )
 
 
+# Errors reported as one stderr line: the package's own, and running out of
+# Python stack on a deeply nested term (the parser and answer extraction
+# still recurse on term depth).
+_REPORTED = (CologicError, RecursionError)
+
+
+def _report(exc: Exception) -> None:
+    if isinstance(exc, RecursionError):
+        print("cologic: term nested too deeply (Python recursion limit reached)", file=sys.stderr)
+    else:
+        print(exc, file=sys.stderr)
+
+
 def _load_program(path: str) -> Program:
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
@@ -75,16 +90,16 @@ def run_file(
     """Load a program, optionally print the oracle report, run the queries."""
     try:
         program = _load_program(path) if path else Program()
-    except (OSError, ParseError) as exc:
-        print(exc, file=sys.stderr)
+    except (OSError, *_REPORTED) as exc:
+        _report(exc)
         return 2
     had_error = False
     all_answered = True
     if oracle:
         try:
             print(oracle_report(program))
-        except CologicError as exc:
-            print(exc, file=sys.stderr)
+        except _REPORTED as exc:
+            _report(exc)
             had_error = True
     for text in queries:
         try:
@@ -100,8 +115,8 @@ def run_file(
             if not got_answer:
                 print("false.")
                 all_answered = False
-        except CologicError as exc:
-            print(exc, file=sys.stderr)
+        except _REPORTED as exc:
+            _report(exc)
             had_error = True
     if had_error:
         return 2
@@ -115,8 +130,8 @@ def repl_loop(path: str | None = None, config: EngineConfig | None = None) -> in
     if path:
         try:
             program = _load_program(path)
-        except (OSError, ParseError) as exc:
-            print(exc, file=sys.stderr)
+        except (OSError, *_REPORTED) as exc:
+            _report(exc)
     while True:
         try:
             line = input("?- ").strip()
@@ -137,13 +152,13 @@ def repl_loop(path: str | None = None, config: EngineConfig | None = None) -> in
             elif command == ":load":
                 try:
                     program = _load_program(argument)
-                except (OSError, ParseError) as exc:
-                    print(exc, file=sys.stderr)
+                except (OSError, *_REPORTED) as exc:
+                    _report(exc)
             elif command == ":oracle":
                 try:
                     print(oracle_report(program))
-                except CologicError as exc:
-                    print(exc, file=sys.stderr)
+                except _REPORTED as exc:
+                    _report(exc)
             else:
                 print(f"unknown command {command!r}", file=sys.stderr)
             continue
@@ -153,14 +168,7 @@ def repl_loop(path: str | None = None, config: EngineConfig | None = None) -> in
 def _repl_query(text: str, program: Program, config: EngineConfig) -> None:
     try:
         query = parse_query(text, origin="<repl>")
-    except ParseError as exc:
-        print(exc, file=sys.stderr)
-        return
-    try:
-        answers = solve(program, query, config)
-        any_answer = False
-        for answer in answers:
-            any_answer = True
+        for answer in solve(program, query, config):
             print(format_answer(answer))
             try:
                 more = input().strip()
@@ -169,10 +177,8 @@ def _repl_query(text: str, program: Program, config: EngineConfig) -> None:
             if more != ";":
                 return
         print("false.")
-        if any_answer:
-            return
-    except CologicError as exc:
-        print(exc, file=sys.stderr)
+    except _REPORTED as exc:
+        _report(exc)
 
 
 def main(argv: list[str] | None = None) -> int:

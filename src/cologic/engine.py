@@ -10,7 +10,8 @@ comparisons, ``is`` arithmetic, ...) are evaluated at one site and never
 enter the hypothesis set or the revisit counts. For any other atom, the
 goal's context picks the stratum:
 
-* Hypothesis stratum (context: a tuple of hypotheses): the atoms selected
+* Hypothesis stratum (context: a tuple of hypotheses, or a
+  :class:`KeyedHyps` past the scan limit): the atoms selected
   along the current branch are carried as *coinductive hypotheses*. A
   goal atom that unifies with a hypothesis does not simply succeed (as in
   plain coinductive resolution); instead a standard SLD resolution of
@@ -26,9 +27,22 @@ goal's context picks the stratum:
   alternatives.
 
 The loop does not recurse per selected goal, so branch depth is not
-limited by Python's recursion limit. Three walks still recurse on term
-depth: :meth:`Resolution._snapshot_atom` (a cyclic list of period 300
-overflows it), :func:`cologic.unify.extract_answer` and the parser.
+limited by Python's recursion limit. Two walks still recurse on term
+depth: :func:`cologic.unify.extract_answer` and the parser.
+
+Both lookups are keyed (path indexing that reads the first argument first,
+as in tabling tries: Ramakrishnan et al. 1999, *Efficient access
+mechanisms for tabled logic programs*). Below ``_SCAN_LIMIT`` entries a
+context is scanned: every same-predicate entry is trial-unified. The push
+that brings a context to the limit keys every entry under the current
+bindings (:func:`lookup_key`); after that each push keys only its own
+atom, with the key the step already computed for its lookup. A lookup
+trial-unifies only the entries whose key fits the goal's, in the order of
+a scan. Keying under the bindings of the push is sound: every goal that
+sees the context runs at or above that choice point's trail mark, so its
+bindings extend the ones the keys were taken under. Contexts stay
+persistent: a :class:`KeyedHyps` node or an :class:`LfpCounts` value is
+never changed once built.
 
 Both strata select clauses through the program's clause index
 (:class:`cologic.terms.ClauseIndex`): on the predicate and arity, then on
@@ -45,10 +59,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import EvaluationError, InstantiationError, ResourceLimitError
 from .terms import (
+    _SCAN_LIMIT,
     BUILTIN_SIGNATURES,
     Atom,
     Compound,
@@ -158,13 +173,96 @@ def eval_builtin(atom: Atom, store: BindStore) -> bool:
     return _COMPARE[name](eval_arith(left, store), eval_arith(right, store))
 
 
-def hyp_lookup(atom: Atom, hyps: Sequence[Atom], store: BindStore) -> list[Atom]:
+# A key holds this many argument symbols after the predicate and arity.
+_KEY_SYMBOLS = 3
+
+
+def lookup_key(atom: Atom, resolve: Callable[[Term], Term]) -> tuple:
+    """The atom's lookup key: predicate, arity, then up to three argument symbols.
+
+    The symbols (``(functor, arity)`` or an integer) are read in preorder
+    over the arguments, first argument first, each dereferenced one level
+    through ``resolve``; the key stops at the first unbound variable. Two
+    atoms can unify only if their keys agree on their common prefix
+    (:func:`keys_fit`): before the first variable in either, both preorders
+    visit the same positions.
+    """
+    key = [atom.predicate, len(atom.args)]
+    todo = list(reversed(atom.args))
+    while todo and len(key) < 2 + _KEY_SYMBOLS:
+        t = resolve(todo.pop())
+        if isinstance(t, Var):
+            break
+        if isinstance(t, Int):
+            key.append(t.value)
+        else:
+            key.append((t.functor, len(t.args)))
+            todo.extend(reversed(t.args))
+    return tuple(key)
+
+
+def keys_fit(a: tuple, b: tuple) -> bool:
+    """True iff two lookup keys agree on their common prefix."""
+    if len(a) > len(b):
+        a, b = b, a
+    return a == b[:len(a)]
+
+
+class KeyedHyps:
+    """A hypothesis context past :data:`_SCAN_LIMIT` entries.
+
+    A linked list, most recent first, of hypotheses with the
+    :func:`lookup_key` each had when it was keyed. Bindings only grow
+    while a context is in use, so a key may fall short of its atom's
+    current key but never contradicts it.
+    """
+
+    __slots__ = ("atom", "key", "older")
+
+    def __init__(self, atom: Atom, key: tuple, older: "KeyedHyps | None"):
+        self.atom = atom
+        self.key = key
+        self.older = older
+
+    def fitting(self, key: tuple) -> Iterator[Atom]:
+        """The hypotheses whose key fits ``key``, most recent first."""
+        n = len(key)
+        node = self
+        while node is not None:
+            k = node.key
+            if k == key or (len(k) != n and keys_fit(k, key)):
+                yield node.atom
+            node = node.older
+
+
+def _hyp_context(
+    hyps: tuple[Atom, ...], resolve: Callable[[Term], Term]
+) -> tuple[Atom, ...] | KeyedHyps:
+    """``hyps`` as a context: a tuple below the limit, else keyed under the current bindings."""
+    if len(hyps) < _SCAN_LIMIT:
+        return hyps
+    node = None
+    for h in hyps:
+        node = KeyedHyps(h, lookup_key(h, resolve), node)
+    return node
+
+
+def hyp_lookup(
+    atom: Atom, hyps: tuple[Atom, ...] | KeyedHyps, store: BindStore, key: tuple | None = None
+) -> list[Atom]:
     """Hypotheses whose trial unification with ``atom`` succeeds, most recent first.
 
-    Trials are rolled back; nothing stays bound.
+    ``hyps`` is a tuple, whose same-predicate entries are all tried, or a
+    :class:`KeyedHyps`, whose entries are tried only when their key fits
+    ``key``, the goal's :func:`lookup_key`. Trials are rolled back;
+    nothing stays bound.
     """
+    if isinstance(hyps, KeyedHyps):
+        candidates = hyps.fitting(key)
+    else:
+        candidates = reversed(hyps)
     out = []
-    for h in reversed(hyps):
+    for h in candidates:
         if h.predicate != atom.predicate or h.arity != atom.arity:
             continue
         start = store.mark()
@@ -178,33 +276,54 @@ def hyp_lookup(atom: Atom, hyps: Sequence[Atom], store: BindStore) -> list[Atom]
 class LfpCounts:
     """Per-branch visit counts for the bounded SLD stratum.
 
-    Keys are snapshot copies of goal atoms (fresh variables, bindings
+    Entries are snapshot copies of goal atoms (fresh variables, bindings
     frozen at insertion, so later search cannot disturb them); lookup is
-    trial unification against the first matching key, rolled back.
+    trial unification against the first matching entry, rolled back. From
+    :data:`_SCAN_LIMIT` entries on, ``keys`` holds each entry's
+    :func:`lookup_key` and only entries whose key fits the goal's are tried.
     """
 
     entries: tuple[tuple[Atom, int], ...] = ()
+    keys: tuple[tuple, ...] = ()
 
-    def lookup(self, atom: Atom, store: BindStore) -> int | None:
-        """Index of the first key unifiable with ``atom``, or None."""
-        for i, (key, _) in enumerate(self.entries):
-            if key.predicate != atom.predicate or key.arity != atom.arity:
+    def lookup(self, atom: Atom, store: BindStore, key: tuple | None = None) -> int | None:
+        """Index of the first entry unifiable with ``atom``, or None.
+
+        ``key`` is the goal's :func:`lookup_key`, needed once the entries
+        are keyed.
+        """
+        entries = self.entries
+        if self.keys:
+            n = len(key)
+            candidates = (i for i, k in enumerate(self.keys)
+                          if k == key or (len(k) != n and keys_fit(k, key)))
+        else:
+            candidates = range(len(entries))
+        for i in candidates:
+            snapshot = entries[i][0]
+            if snapshot.predicate != atom.predicate or snapshot.arity != atom.arity:
                 continue
             start = store.mark()
-            ok = unify_atoms(atom, key, store)
+            ok = unify_atoms(atom, snapshot, store)
             store.rollback(start)
             if ok:
                 return i
         return None
 
     def incremented(self, index: int) -> "LfpCounts":
-        key, count = self.entries[index]
+        snapshot, count = self.entries[index]
         entries = list(self.entries)
-        entries[index] = (key, count + 1)
-        return LfpCounts(tuple(entries))
+        entries[index] = (snapshot, count + 1)
+        return LfpCounts(tuple(entries), self.keys)
 
-    def inserted(self, key: Atom) -> "LfpCounts":
-        return LfpCounts(self.entries + ((key, 1),))
+    def inserted(self, snapshot: Atom, key: tuple | None, resolve: Callable[[Term], Term]) -> "LfpCounts":
+        """Add ``snapshot``, whose key is ``key``; the insert that reaches the limit keys every entry."""
+        entries = self.entries + ((snapshot, 1),)
+        if len(entries) < _SCAN_LIMIT:
+            return LfpCounts(entries)
+        if self.keys:
+            return LfpCounts(entries, self.keys + (key,))
+        return LfpCounts(entries, tuple(lookup_key(a, resolve) for a, _ in entries))
 
 
 # A goal list: None when empty, else ``(atom, context, rest)``.
@@ -256,7 +375,7 @@ class Resolution:
         The store holds the solution's bindings at each yield; resuming
         the iterator backtracks.
         """
-        return self._run(_goal_list(atoms, hyps, None))
+        return self._run(_goal_list(atoms, _hyp_context(hyps, self.store.resolve), None))
 
     def solve_lfp(self, atoms: tuple[Atom, ...], counts: LfpCounts) -> Iterator[None]:
         """Standard SLD over clauses + co-facts-as-facts, bounded by revisit counts."""
@@ -273,6 +392,7 @@ class Resolution:
         the store back to where it started.
         """
         store, index = self.store, self.program.index
+        resolve = store.resolve
         base = store.mark()
         choices: list[tuple[int, Atom, _Goals, object, Iterator]] = []
         while True:
@@ -286,22 +406,33 @@ class Resolution:
                         goals = rest
                         continue
                 elif isinstance(context, LfpCounts):
-                    found = context.lookup(atom, store)
+                    # One key per step serves the lookup and the insert;
+                    # contexts below the limit need none.
+                    key = lookup_key(atom, resolve) if context.keys else None
+                    found = context.lookup(atom, store, key)
                     # At the revisit limit the atom fails outright, alternatives included.
                     if found is None or context.entries[found][1] < self.config.lfp_revisit_limit:
                         if found is None:
-                            counts = context.inserted(self._snapshot_atom(atom))
+                            counts = context.inserted(self._snapshot_atom(atom), key, resolve)
                         else:
                             counts = context.incremented(found)
-                        clauses = index.candidates(atom, self._lfp_extended, store.resolve)
+                        clauses = index.candidates(atom, self._lfp_extended, resolve)
                         choices.append((store.mark(), atom, rest, counts, iter(clauses)))
                 else:
-                    hits = hyp_lookup(atom, context, store)
+                    if isinstance(context, KeyedHyps):
+                        key = lookup_key(atom, resolve)
+                        pushed = KeyedHyps(atom, key, context)
+                    else:
+                        key = None
+                        pushed = context + (atom,)
+                        if len(pushed) == _SCAN_LIMIT:
+                            pushed = _hyp_context(pushed, resolve)
+                    hits = hyp_lookup(atom, context, store, key)
                     if hits and self.config.hyp_cut:
                         clauses = ()
                     else:
-                        clauses = index.candidates(atom, False, store.resolve)
-                    choices.append((store.mark(), atom, rest, context + (atom,), chain(hits, clauses)))
+                        clauses = index.candidates(atom, False, resolve)
+                    choices.append((store.mark(), atom, rest, pushed, chain(hits, clauses)))
             # Backtrack to the newest choice point with an alternative that applies.
             while True:
                 if not choices:
@@ -331,26 +462,43 @@ class Resolution:
 
         Cyclic bindings are reproduced through the store (the fresh
         variables are bound below any later choice point, so the copy
-        survives exactly as long as the counts that hold it).
+        survives exactly as long as the counts that hold it). The walk keeps
+        its own stack: fresh variables are taken in preorder, and each is
+        bound once its binding's skeleton has been copied.
         """
-        mapping: dict[int, Var] = {}
-
-        def copy(t: Term) -> Term:
-            if isinstance(t, Var):
-                rep = self.store.find(t.id)
-                hit = mapping.get(rep)
-                if hit is not None:
-                    return hit
-                resolved = self.store.resolve(t)
-                fresh = mapping[rep] = self.vars.fresh()
-                if not isinstance(resolved, Var):
-                    unify(fresh, copy(resolved), self.store)
-                return fresh
-            if isinstance(t, Int):
-                return t
-            return Compound(t.functor, tuple(copy(a) for a in t.args))
-
-        return Atom(atom.predicate, tuple(copy(t) for t in atom.args))
+        store, mapping = self.store, {}
+        done: list[Term] = []  # copied terms, awaiting their parent
+        # ("copy", term) | ("build", compound: pop its copied arguments) | ("bind", fresh var)
+        todo: list[tuple[str, object]] = [("copy", t) for t in reversed(atom.args)]
+        while todo:
+            op, x = todo.pop()
+            if op == "copy":
+                if isinstance(x, Var):
+                    rep = store.find(x.id)
+                    hit = mapping.get(rep)
+                    if hit is not None:
+                        done.append(hit)
+                        continue
+                    fresh = mapping[rep] = self.vars.fresh()
+                    resolved = store.resolve(x)
+                    if isinstance(resolved, Var):
+                        done.append(fresh)
+                    else:
+                        todo += (("bind", fresh), ("copy", resolved))
+                elif isinstance(x, Compound) and x.args:
+                    todo.append(("build", x))
+                    todo.extend(("copy", a) for a in reversed(x.args))
+                else:
+                    done.append(x)
+            elif op == "build":
+                n = len(x.args)
+                args = tuple(done[-n:])
+                del done[-n:]
+                done.append(Compound(x.functor, args))
+            else:
+                unify(x, done[-1], store)
+                done[-1] = x
+        return Atom(atom.predicate, tuple(done))
 
 
 def solve(

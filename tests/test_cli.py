@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cologic
 from cologic import Answer, Compound, EngineConfig, Int, Var
 from cologic.cli import format_answer, main, oracle_report, run_file
 from helpers import PQ_EXAMPLE, RUNNING_EXAMPLE
@@ -274,3 +279,34 @@ def test_oracle_report_function(pq_path):
         "CoInd(P) = {p(0), p(1)}",
         "Gen(P,C) = {}",
     ]
+
+
+# Inputs whose nesting exceeds Python's recursion limit in the parser (a
+# term 1,200 deep) and in answer extraction (a 1,500-element list literal).
+TOO_DEEP = {
+    "deep_term": "?- X = " + "f(" * 1200 + "a" + ")" * 1200 + ".",
+    "long_list": "?- L = [" + ", ".join(str(i) for i in range(1, 1501)) + "].",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOO_DEEP))
+def test_too_deep_input_exit_2_without_traceback(running_path, name):
+    # A subprocess, so that what a user would see on stderr is what is checked.
+    src = str(Path(cologic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-m", "cologic", running_path, "--query", TOO_DEEP[name], "--query", "?- true."],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert run.stderr.splitlines() == ["cologic: term nested too deeply (Python recursion limit reached)"]
+    assert run.stdout == "true.\n"  # later queries still run
+
+
+@pytest.mark.parametrize("name", sorted(TOO_DEEP))
+def test_repl_too_deep_input_reported(running_path, monkeypatch, capsys, name):
+    code, captured = _run_repl(monkeypatch, capsys, [TOO_DEEP[name], "?- true.", ":quit"], [running_path])
+    assert code == 0
+    assert captured.err.splitlines() == ["cologic: term nested too deeply (Python recursion limit reached)"]
+    assert "true." in captured.out

@@ -24,6 +24,7 @@ from cologic import (
     render_term,
     solve,
 )
+from cologic import engine
 from cologic.engine import LfpCounts, Resolution, eval_builtin, hyp_lookup, is_builtin
 from cologic.terms import VarSource
 from cologic.unify import BindStore, rational_equal, unify
@@ -128,6 +129,50 @@ def test_hyp_lookup_filters_predicate_and_orders_recent_first():
     assert hyp_lookup(Atom("p", (Var(5),)), hyps, store) == [atom("p", 0)]
     two = (Atom("p", (Var(1),)), Atom("p", (Var(2),)))
     assert hyp_lookup(Atom("p", (Var(5),)), two, store) == [two[1], two[0]]
+
+
+def _lookup_trials(monkeypatch, program, text: str, mode: str) -> tuple[int, int]:
+    """(trial unifications inside hypothesis and revisit-count lookups, lookups) for a first answer."""
+    counts = {"inside": 0, "trials": 0, "lookups": 0}
+
+    def counted(fn):
+        def lookup(*args, **kwargs):
+            counts["lookups"] += 1
+            counts["inside"] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                counts["inside"] -= 1
+        return lookup
+
+    unify_atoms = engine.unify_atoms
+
+    def trial(*args):
+        counts["trials"] += counts["inside"] > 0
+        return unify_atoms(*args)
+
+    monkeypatch.setattr(engine, "unify_atoms", trial)
+    monkeypatch.setattr(engine, "hyp_lookup", counted(engine.hyp_lookup))
+    monkeypatch.setattr(engine.LfpCounts, "lookup", counted(engine.LfpCounts.lookup))
+    next(iter(solve(program, parse_query(text), EngineConfig(mode=mode))), None)
+    monkeypatch.undo()
+    return counts["trials"], counts["lookups"]
+
+
+@pytest.mark.parametrize("mode", ["cofacts", "inductive"])
+@pytest.mark.parametrize("goal", ["all_pos({items})", "member(0, {items})", "max({items}, M)"])
+def test_lookup_trials_do_not_grow_with_depth(running, monkeypatch, goal, mode):
+    # Every goal on these branches is new, so a lookup that tried each
+    # entry would cost about n/2 trials; keyed lookup tries none of the
+    # entries past the scanned prefix. cofacts mode looks up hypotheses,
+    # inductive mode revisit counts.
+    per_lookup = []
+    for n in (100, 600):
+        items = "[" + ", ".join(str(i) for i in range(1, n + 1)) + "]"
+        trials, lookups = _lookup_trials(monkeypatch, running, f"?- {goal.format(items=items)}.", mode)
+        assert lookups >= n
+        per_lookup.append(trials / lookups)
+    assert per_lookup[1] <= per_lookup[0] < 1
 
 
 # bounded SLD stratum

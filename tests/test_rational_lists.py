@@ -114,3 +114,10 @@ def test_long_cycle_max(running):
     items = ", ".join(str(i) for i in range(1, 201))
     answer = _first_answer(running, f"?- L = [{items}|L], max(L, M).")
     assert answer is not None and answer.endswith("\nM = 200")
+
+
+def test_period_300_cycle_max(running):
+    # The bounded stratum's goal snapshot copies this cycle without recursion.
+    items = ", ".join(str(i) for i in range(1, 301))
+    answer = _first_answer(running, f"?- L = [{items}|L], max(L, M).")
+    assert answer is not None and answer.endswith("\nM = 300")
