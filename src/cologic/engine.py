@@ -10,15 +10,15 @@ comparisons, ``is`` arithmetic, ...) are evaluated at one site and never
 enter the hypothesis set or the revisit counts. For any other atom, the
 goal's context picks the stratum:
 
-* Hypothesis stratum (context: a tuple of hypotheses, or a
-  :class:`KeyedHyps` past the scan limit): the atoms selected
-  along the current branch are carried as *coinductive hypotheses*. A
-  goal atom that unifies with a hypothesis does not simply succeed (as in
-  plain coinductive resolution); instead a standard SLD resolution of
-  that atom is triggered in the program enriched by its co-facts. With
-  ``hyp_cut`` (the default) an atom that unifies with some hypothesis
-  never falls through to ordinary clause resolution, which curbs
-  divergence at the price of missing some answers.
+* Hypothesis stratum (context: a :class:`KeyedHyps` chain, ``None`` when
+  empty): the atoms selected along the current branch are carried as
+  *coinductive hypotheses*. A goal atom that unifies with a hypothesis
+  does not simply succeed (as in plain coinductive resolution); instead
+  a standard SLD resolution of that atom is triggered in the program
+  enriched by its co-facts. With ``hyp_cut`` (the default) an atom that
+  unifies with some hypothesis never falls through to ordinary clause
+  resolution, which curbs divergence at the price of missing some
+  answers.
 
 * Bounded SLD stratum (context: :class:`LfpCounts`): ordinary SLD over
   the clauses plus the co-facts as plain facts, except that an atom whose
@@ -27,22 +27,24 @@ goal's context picks the stratum:
   alternatives.
 
 The loop does not recurse per selected goal, so branch depth is not
-limited by Python's recursion limit. Two walks still recurse on term
-depth: :func:`cologic.unify.extract_answer` and the parser.
+limited by Python's recursion limit. These walks still recurse on term
+depth: :func:`cologic.unify.extract_answer`, the parser,
+:func:`cologic.terms.fresh_rename`, :func:`cologic.terms.substitute`,
+``cologic.oracle._scan_constants``, :func:`cologic.terms.render_term` and
+:func:`eval_arith`; a program fact holding a 1,500-element list already
+overflows in ``fresh_rename``.
 
 Both lookups are keyed (path indexing that reads the first argument first,
 as in tabling tries: Ramakrishnan et al. 1999, *Efficient access
-mechanisms for tabled logic programs*). Below ``_SCAN_LIMIT`` entries a
-context is scanned: every same-predicate entry is trial-unified. The push
-that brings a context to the limit keys every entry under the current
-bindings (:func:`lookup_key`); after that each push keys only its own
-atom, with the key the step already computed for its lookup. A lookup
-trial-unifies only the entries whose key fits the goal's, in the order of
-a scan. Keying under the bindings of the push is sound: every goal that
-sees the context runs at or above that choice point's trail mark, so its
-bindings extend the ones the keys were taken under. Contexts stay
-persistent: a :class:`KeyedHyps` node or an :class:`LfpCounts` value is
-never changed once built.
+mechanisms for tabled logic programs*). Every hypothesis and every
+revisit-count entry is keyed when it is pushed, with the key
+(:func:`lookup_key`) the step computed for its own lookup, and a lookup
+trial-unifies only the entries whose key fits the goal's, in the order
+of a scan. Keying under the bindings of the push is sound: every goal
+that sees the context runs at or above that choice point's trail mark,
+so its bindings only extend the ones the keys were taken under. Contexts
+stay persistent: a :class:`KeyedHyps` node or an :class:`LfpCounts` value
+is never changed once built.
 
 Both strata select clauses through the program's clause index
 (:class:`cologic.terms.ClauseIndex`): on the predicate and arity, then on
@@ -63,7 +65,6 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import EvaluationError, InstantiationError, ResourceLimitError
 from .terms import (
-    _SCAN_LIMIT,
     BUILTIN_SIGNATURES,
     Atom,
     Compound,
@@ -83,7 +84,7 @@ from .unify import BindStore, extract_answer, unify, unify_atoms
 MODES = ("cofacts", "inductive", "coinductive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineConfig:
     """Search policy knobs.
 
@@ -190,9 +191,11 @@ def lookup_key(atom: Atom, resolve: Callable[[Term], Term]) -> tuple:
     key = [atom.predicate, len(atom.args)]
     todo = list(reversed(atom.args))
     while todo and len(key) < 2 + _KEY_SYMBOLS:
-        t = resolve(todo.pop())
+        t = todo.pop()
         if isinstance(t, Var):
-            break
+            t = resolve(t)
+            if isinstance(t, Var):
+                break
         if isinstance(t, Int):
             key.append(t.value)
         else:
@@ -209,12 +212,11 @@ def keys_fit(a: tuple, b: tuple) -> bool:
 
 
 class KeyedHyps:
-    """A hypothesis context past :data:`_SCAN_LIMIT` entries.
+    """A hypothesis context: a linked list, most recent first; ``None`` is empty.
 
-    A linked list, most recent first, of hypotheses with the
-    :func:`lookup_key` each had when it was keyed. Bindings only grow
-    while a context is in use, so a key may fall short of its atom's
-    current key but never contradicts it.
+    Each node holds a hypothesis with the :func:`lookup_key` it had when
+    it was pushed. Bindings only grow while a context is in use, so a key
+    may fall short of its atom's current key but never contradicts it.
     """
 
     __slots__ = ("atom", "key", "older")
@@ -224,51 +226,25 @@ class KeyedHyps:
         self.key = key
         self.older = older
 
-    def fitting(self, key: tuple) -> Iterator[Atom]:
-        """The hypotheses whose key fits ``key``, most recent first."""
-        n = len(key)
-        node = self
-        while node is not None:
-            k = node.key
-            if k == key or (len(k) != n and keys_fit(k, key)):
-                yield node.atom
-            node = node.older
 
-
-def _hyp_context(
-    hyps: tuple[Atom, ...], resolve: Callable[[Term], Term]
-) -> tuple[Atom, ...] | KeyedHyps:
-    """``hyps`` as a context: a tuple below the limit, else keyed under the current bindings."""
-    if len(hyps) < _SCAN_LIMIT:
-        return hyps
-    node = None
-    for h in hyps:
-        node = KeyedHyps(h, lookup_key(h, resolve), node)
-    return node
-
-
-def hyp_lookup(
-    atom: Atom, hyps: tuple[Atom, ...] | KeyedHyps, store: BindStore, key: tuple | None = None
-) -> list[Atom]:
+def hyp_lookup(atom: Atom, hyps: KeyedHyps | None, store: BindStore, key: tuple) -> list[Atom]:
     """Hypotheses whose trial unification with ``atom`` succeeds, most recent first.
 
-    ``hyps`` is a tuple, whose same-predicate entries are all tried, or a
-    :class:`KeyedHyps`, whose entries are tried only when their key fits
-    ``key``, the goal's :func:`lookup_key`. Trials are rolled back;
-    nothing stays bound.
+    Only the hypotheses whose key fits ``key``, the goal's
+    :func:`lookup_key`, are tried. Trials are rolled back; nothing stays
+    bound.
     """
-    if isinstance(hyps, KeyedHyps):
-        candidates = hyps.fitting(key)
-    else:
-        candidates = reversed(hyps)
+    n = len(key)
     out = []
-    for h in candidates:
-        if h.predicate != atom.predicate or h.arity != atom.arity:
-            continue
-        start = store.mark()
-        if unify_atoms(atom, h, store):
-            out.append(h)
-        store.rollback(start)
+    while hyps is not None:
+        k = hyps.key
+        if k == key or (len(k) != n and keys_fit(k, key)):
+            h = hyps.atom
+            start = store.mark()
+            if unify_atoms(atom, h, store):
+                out.append(h)
+            store.rollback(start)
+        hyps = hyps.older
     return out
 
 
@@ -276,54 +252,35 @@ def hyp_lookup(
 class LfpCounts:
     """Per-branch visit counts for the bounded SLD stratum.
 
-    Entries are snapshot copies of goal atoms (fresh variables, bindings
-    frozen at insertion, so later search cannot disturb them); lookup is
-    trial unification against the first matching entry, rolled back. From
-    :data:`_SCAN_LIMIT` entries on, ``keys`` holds each entry's
-    :func:`lookup_key` and only entries whose key fits the goal's are tried.
+    Entries are ``(snapshot, key, count)``: a snapshot copy of a goal atom
+    (fresh variables, bindings frozen at insertion, so later search cannot
+    disturb it) and the :func:`lookup_key` it was inserted with. Lookup is
+    trial unification against the first entry whose key fits the goal's,
+    rolled back.
     """
 
-    entries: tuple[tuple[Atom, int], ...] = ()
-    keys: tuple[tuple, ...] = ()
+    entries: tuple[tuple[Atom, tuple, int], ...] = ()
 
-    def lookup(self, atom: Atom, store: BindStore, key: tuple | None = None) -> int | None:
-        """Index of the first entry unifiable with ``atom``, or None.
-
-        ``key`` is the goal's :func:`lookup_key`, needed once the entries
-        are keyed.
-        """
-        entries = self.entries
-        if self.keys:
-            n = len(key)
-            candidates = (i for i, k in enumerate(self.keys)
-                          if k == key or (len(k) != n and keys_fit(k, key)))
-        else:
-            candidates = range(len(entries))
-        for i in candidates:
-            snapshot = entries[i][0]
-            if snapshot.predicate != atom.predicate or snapshot.arity != atom.arity:
-                continue
-            start = store.mark()
-            ok = unify_atoms(atom, snapshot, store)
-            store.rollback(start)
-            if ok:
-                return i
+    def lookup(self, atom: Atom, store: BindStore, key: tuple) -> int | None:
+        """Index of the first entry unifiable with ``atom``, whose key is ``key``, or None."""
+        n = len(key)
+        for i, (snapshot, k, _) in enumerate(self.entries):
+            if k == key or (len(k) != n and keys_fit(k, key)):
+                start = store.mark()
+                ok = unify_atoms(atom, snapshot, store)
+                store.rollback(start)
+                if ok:
+                    return i
         return None
 
     def incremented(self, index: int) -> "LfpCounts":
-        snapshot, count = self.entries[index]
+        snapshot, key, count = self.entries[index]
         entries = list(self.entries)
-        entries[index] = (snapshot, count + 1)
-        return LfpCounts(tuple(entries), self.keys)
+        entries[index] = (snapshot, key, count + 1)
+        return LfpCounts(tuple(entries))
 
-    def inserted(self, snapshot: Atom, key: tuple | None, resolve: Callable[[Term], Term]) -> "LfpCounts":
-        """Add ``snapshot``, whose key is ``key``; the insert that reaches the limit keys every entry."""
-        entries = self.entries + ((snapshot, 1),)
-        if len(entries) < _SCAN_LIMIT:
-            return LfpCounts(entries)
-        if self.keys:
-            return LfpCounts(entries, self.keys + (key,))
-        return LfpCounts(entries, tuple(lookup_key(a, resolve) for a, _ in entries))
+    def inserted(self, snapshot: Atom, key: tuple) -> "LfpCounts":
+        return LfpCounts(self.entries + ((snapshot, key, 1),))
 
 
 # A goal list: None when empty, else ``(atom, context, rest)``.
@@ -372,10 +329,14 @@ class Resolution:
     def solve_co(self, atoms: tuple[Atom, ...], hyps: tuple[Atom, ...] = ()) -> Iterator[None]:
         """Resolve a goal under coinductive hypotheses; yields once per solution.
 
-        The store holds the solution's bindings at each yield; resuming
-        the iterator backtracks.
+        ``hyps`` is given oldest first and keyed on entry. The store holds
+        the solution's bindings at each yield; resuming the iterator
+        backtracks.
         """
-        return self._run(_goal_list(atoms, _hyp_context(hyps, self.store.resolve), None))
+        context = None
+        for h in hyps:
+            context = KeyedHyps(h, lookup_key(h, self.store.resolve), context)
+        return self._run(_goal_list(atoms, context, None))
 
     def solve_lfp(self, atoms: tuple[Atom, ...], counts: LfpCounts) -> Iterator[None]:
         """Standard SLD over clauses + co-facts-as-facts, bounded by revisit counts."""
@@ -384,12 +345,12 @@ class Resolution:
     def _run(self, goals: _Goals) -> Iterator[None]:
         """Depth-first search over a goal list; yields once per solution.
 
-        Each goal carries its stratum's context: a tuple of hypotheses, or
-        the :class:`LfpCounts` of a bounded proof. A choice point holds the
-        trail mark, the atom, the goals after it, the context of the
-        clause bodies it will push, and its untried alternatives:
-        hypothesis hits (atoms) and clauses. Exhausting the search rolls
-        the store back to where it started.
+        Each goal carries its stratum's context: a :class:`KeyedHyps` chain
+        (``None`` when empty), or the :class:`LfpCounts` of a bounded
+        proof. A choice point holds the trail mark, the atom, the goals
+        after it, the context of the clause bodies it will push, and its
+        untried alternatives: hypothesis hits (atoms) and clauses.
+        Exhausting the search rolls the store back to where it started.
         """
         store, index = self.store, self.program.index
         resolve = store.resolve
@@ -406,32 +367,25 @@ class Resolution:
                         goals = rest
                         continue
                 elif isinstance(context, LfpCounts):
-                    # One key per step serves the lookup and the insert;
-                    # contexts below the limit need none.
-                    key = lookup_key(atom, resolve) if context.keys else None
+                    # One key per step serves both the lookup and the entry it adds.
+                    key = lookup_key(atom, resolve)
                     found = context.lookup(atom, store, key)
                     # At the revisit limit the atom fails outright, alternatives included.
-                    if found is None or context.entries[found][1] < self.config.lfp_revisit_limit:
+                    if found is None or context.entries[found][2] < self.config.lfp_revisit_limit:
                         if found is None:
-                            counts = context.inserted(self._snapshot_atom(atom), key, resolve)
+                            counts = context.inserted(self._snapshot_atom(atom), key)
                         else:
                             counts = context.incremented(found)
                         clauses = index.candidates(atom, self._lfp_extended, resolve)
                         choices.append((store.mark(), atom, rest, counts, iter(clauses)))
                 else:
-                    if isinstance(context, KeyedHyps):
-                        key = lookup_key(atom, resolve)
-                        pushed = KeyedHyps(atom, key, context)
-                    else:
-                        key = None
-                        pushed = context + (atom,)
-                        if len(pushed) == _SCAN_LIMIT:
-                            pushed = _hyp_context(pushed, resolve)
+                    key = lookup_key(atom, resolve)
                     hits = hyp_lookup(atom, context, store, key)
                     if hits and self.config.hyp_cut:
                         clauses = ()
                     else:
                         clauses = index.candidates(atom, False, resolve)
+                    pushed = KeyedHyps(atom, key, context)
                     choices.append((store.mark(), atom, rest, pushed, chain(hits, clauses)))
             # Backtrack to the newest choice point with an alternative that applies.
             while True:
@@ -519,7 +473,7 @@ def solve(
     source = VarSource(max(program.index.max_var_id, max_var_id(goal)) + 1)
     resolution = Resolution(program, config, var_source=source)
     ordered_vars = [(name, vid) for vid, name in var_names.items()]
-    context = LfpCounts() if config.mode == "inductive" else ()
+    context = LfpCounts() if config.mode == "inductive" else None
     for _ in resolution._run(_goal_list(goal.atoms, context, None)):
         equations, names = extract_answer(ordered_vars, resolution.store)
         yield Answer(equations, names)

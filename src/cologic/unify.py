@@ -65,7 +65,11 @@ class BindStore:
         if isinstance(t, Var):
             rep = self.find(t.id)
             bound = self._bindings.get(rep)
-            return Var(rep) if bound is None else bound
+            if bound is not None:
+                return bound
+            # An unbound representative is returned as is: building a new
+            # Var would cost more than the rest of the call.
+            return t if rep == t.id else Var(rep)
         return t
 
     def is_unbound(self, var_id: int) -> bool:

@@ -1,0 +1,29 @@
+"""tools/answer_digest.py: the same checkout and seed always give the same digest."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_digest_repeats_across_processes():
+    # Two interpreters with different hash seeds, run side by side: a digest
+    # that hung on set or dict order, or on object identity, would differ.
+    argv = [sys.executable, str(ROOT / "tools" / "answer_digest.py"), "--checkout", str(ROOT),
+            "--seed", "3", "--workload", "facts", "--cases", "50"]
+    runs = [subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                             env={**os.environ, "PYTHONHASHSEED": seed})
+            for seed in ("1", "2")]
+    outputs = []
+    for run in runs:
+        out, err = run.communicate(timeout=300)
+        assert run.returncode == 0, err
+        outputs.append(out)
+    workload, sequences, digest = outputs[0].split()
+    assert (workload, sequences) == ("facts", str(50 * 3 * 2))
+    assert len(digest) == 64
+    assert outputs[0] == outputs[1]

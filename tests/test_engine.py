@@ -25,7 +25,15 @@ from cologic import (
     solve,
 )
 from cologic import engine
-from cologic.engine import LfpCounts, Resolution, eval_builtin, hyp_lookup, is_builtin
+from cologic.engine import (
+    KeyedHyps,
+    LfpCounts,
+    Resolution,
+    eval_builtin,
+    hyp_lookup,
+    is_builtin,
+    lookup_key,
+)
 from cologic.terms import VarSource
 from cologic.unify import BindStore, rational_equal, unify
 from helpers import PQ_EXAMPLE, RUNNING_EXAMPLE, ask, ask_all, atom, succeeds
@@ -111,24 +119,36 @@ def test_true_fail():
 # hypothesis lookup
 
 
+def _hyps(atoms, store: BindStore):
+    """A hypothesis context holding ``atoms`` (oldest first), keyed as ``solve_co`` keys it."""
+    context = None
+    for a in atoms:
+        context = KeyedHyps(a, lookup_key(a, store.resolve), context)
+    return context
+
+
+def _lookup(goal: Atom, hyps, store: BindStore):
+    return hyp_lookup(goal, _hyps(hyps, store), store, lookup_key(goal, store.resolve))
+
+
 def test_hyp_lookup_unifies_under_current_store():
     store = BindStore()
     L, M, M2 = Var(0), Var(1), Var(2)
     unify(L, list_term([Int(1), Int(2)], tail=L), store)
     unify(M2, M, store)
     hyp = Atom("max", (L, M))
-    found = hyp_lookup(Atom("max", (L, M2)), (hyp,), store)
+    found = _lookup(Atom("max", (L, M2)), (hyp,), store)
     assert found == [hyp]
     assert store.is_unbound(M.id)  # trial rolled back
 
 
 def test_hyp_lookup_filters_predicate_and_orders_recent_first():
     store = BindStore()
-    assert hyp_lookup(atom("member", 3, 1), (), store) == []
+    assert _lookup(atom("member", 3, 1), (), store) == []
     hyps = (atom("p", 0), atom("q", 0))
-    assert hyp_lookup(Atom("p", (Var(5),)), hyps, store) == [atom("p", 0)]
+    assert _lookup(Atom("p", (Var(5),)), hyps, store) == [atom("p", 0)]
     two = (Atom("p", (Var(1),)), Atom("p", (Var(2),)))
-    assert hyp_lookup(Atom("p", (Var(5),)), two, store) == [two[1], two[0]]
+    assert _lookup(Atom("p", (Var(5),)), two, store) == [two[1], two[0]]
 
 
 def _lookup_trials(monkeypatch, program, text: str, mode: str) -> tuple[int, int]:
@@ -331,6 +351,16 @@ def test_mode_validation():
         EngineConfig(mode="bogus")
     with pytest.raises(ValueError):
         EngineConfig(lfp_revisit_limit=0)
+
+
+@pytest.mark.parametrize("field, value", [("mode", "bogus"), ("step_budget", -1),
+                                          ("lfp_revisit_limit", 0), ("hyp_cut", False)])
+def test_config_is_frozen(field, value):
+    # Assignment would skip __post_init__'s checks; dataclasses.replace runs them.
+    config = EngineConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, field, value)
+    assert config == EngineConfig()
 
 
 def test_coinductive_mode_matches_manual_universal_cofacts(running):

@@ -11,8 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cologic import Atom, Compound, Int, Var
-from cologic.engine import KeyedHyps, LfpCounts, _hyp_context, hyp_lookup, keys_fit, lookup_key
-from cologic.terms import _SCAN_LIMIT
+from cologic.engine import KeyedHyps, LfpCounts, hyp_lookup, keys_fit, lookup_key
 from cologic.unify import BindStore, unify, unify_atoms
 
 VARS = [Var(i) for i in range(4)]
@@ -32,8 +31,8 @@ atoms = st.builds(
 )
 bindings = st.tuples(st.sampled_from(VARS), terms)
 # A context is built by pushing atoms, each followed by at most one binding.
-pushes = st.lists(st.tuples(atoms, st.lists(bindings, max_size=1)),
-                  min_size=_SCAN_LIMIT - 2, max_size=2 * _SCAN_LIMIT)
+pushes = st.lists(st.tuples(atoms, st.lists(bindings, max_size=1)), max_size=16)
+
 
 def bind_all(pairs, store: BindStore) -> None:
     for var, term in pairs:
@@ -60,17 +59,28 @@ def test_unifiable_atoms_have_fitting_keys(a, b, before, after):
 def _build(run, store: BindStore):
     """Replay ``run`` the way the engine grows a context: (every atom, hypotheses, counts)."""
     pushed: list[Atom] = []
-    hyps: tuple | KeyedHyps = ()
+    hyps = None
     counts = LfpCounts()
     for atom, later in run:
         key = lookup_key(atom, store.resolve)
         pushed.append(atom)
-        hyps = KeyedHyps(atom, key, hyps) if isinstance(hyps, KeyedHyps) else _hyp_context(
-            hyps + (atom,), store.resolve)
+        hyps = KeyedHyps(atom, key, hyps)
         # The engine stores a snapshot; the atom itself keeps the test small.
-        counts = counts.inserted(atom, key if counts.keys else None, store.resolve)
+        counts = counts.inserted(atom, key)
         bind_all(later, store)
     return pushed, hyps, counts
+
+
+def _scan(goal: Atom, entries, store: BindStore) -> list[int]:
+    """Positions of the same-predicate ``entries`` that unify with ``goal``, in order; rolled back."""
+    hits = []
+    for i, a in enumerate(entries):
+        if (a.predicate, a.arity) == (goal.predicate, goal.arity):
+            start = store.mark()
+            if unify_atoms(goal, a, store):
+                hits.append(i)
+            store.rollback(start)
+    return hits
 
 
 def _generalized(atom: Atom, position: int) -> Atom:
@@ -87,17 +97,18 @@ def _generalized(atom: Atom, position: int) -> Atom:
 def test_keyed_lookups_match_a_full_scan(run, data):
     store = BindStore()
     pushed, hyps, counts = _build(run, store)
-    keyed = len(pushed) >= _SCAN_LIMIT
-    assert isinstance(hyps, KeyedHyps) == keyed
-    assert bool(counts.keys) == keyed
-    assert [a for a, _ in counts.entries] == pushed
+    assert [a for a, _, _ in counts.entries] == pushed
     # A random goal, or one made from an entry so that hits are common.
-    goal = data.draw(st.one_of(
-        atoms, st.builds(_generalized, st.sampled_from(pushed), st.integers(0, 1))))
+    goals = atoms
+    if pushed:
+        goals = st.one_of(atoms, st.builds(_generalized, st.sampled_from(pushed), st.integers(0, 1)))
+    goal = data.draw(goals)
     key = lookup_key(goal, store.resolve)
     mark = store.mark()
     # Hypotheses: the same hits, most recent first.
-    assert hyp_lookup(goal, hyps, store, key) == hyp_lookup(goal, tuple(pushed), store)
+    recent_first = pushed[::-1]
+    assert hyp_lookup(goal, hyps, store, key) == [recent_first[i] for i in _scan(goal, recent_first, store)]
     # Revisit counts: the same first unifiable entry.
-    assert counts.lookup(goal, store, key) == LfpCounts(counts.entries).lookup(goal, store)
+    first = _scan(goal, pushed, store)
+    assert counts.lookup(goal, store, key) == (first[0] if first else None)
     assert store.mark() == mark

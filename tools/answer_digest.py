@@ -1,0 +1,98 @@
+"""Digest of every answer sequence the perfbench query cases produce.
+
+Run from anywhere, naming the checkout whose cologic to run::
+
+    python3 tools/answer_digest.py --checkout . --seed 3
+
+It imports cologic from ``<checkout>/src`` and the workload generators from
+``<checkout>/perfbench/workloads.py``, builds each workload's pass from the
+seed, and runs every ``query`` case in every mode, once with a 40-step
+budget and once with a 20,000-step cap, taking up to 12 answers. For each
+(case, mode, budget) it records the answer sequence, each answer as the
+``repr`` of its ``equations`` and ``names`` (so variable ids count), and
+the error type and message if the search raised. It prints one line per
+workload: the name, the number of sequences and their SHA-256 digest.
+Two checkouts give equal digests exactly when they give the same answers
+in the same order, with the same variable ids and errors.
+
+Uses the standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib
+import sys
+from itertools import islice
+from pathlib import Path
+
+MODES = ("cofacts", "inductive", "coinductive")
+BUDGETS = (40, 20_000)
+MAX_ANSWERS = 12
+WORKLOADS = ("lists", "facts", "corpus")
+
+
+def load(checkout: Path):
+    """Import cologic and perfbench's workloads from ``checkout``, never from elsewhere."""
+    src, bench = checkout / "src", checkout / "perfbench"
+    for path in (src, bench):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+    cologic = importlib.import_module("cologic")
+    if Path(cologic.__file__).resolve().parent != (src / "cologic").resolve():
+        sys.exit(f"answer_digest: imported cologic from {cologic.__file__}, not {src}")
+    return cologic, importlib.import_module("workloads")
+
+
+def sequences(cologic, workload_pass, max_cases: int | None = None):
+    """Yield one text line per (query case, mode, budget): its answers, then its error if any."""
+    programs: dict[str, object] = {}
+    cases = [c for c in workload_pass.cases if c.op == "query"][:max_cases]
+    for case in cases:
+        if case.program not in programs:
+            programs[case.program] = cologic.parse_program(workload_pass.programs[case.program])
+        program = programs[case.program]
+        for mode in MODES:
+            for budget in BUDGETS:
+                config = cologic.EngineConfig(mode=mode, step_budget=budget)
+                parts = [case.text, mode, str(budget)]
+                try:
+                    query = cologic.parse_query(case.text)
+                    for answer in islice(cologic.solve(program, query, config), MAX_ANSWERS):
+                        parts.append(f"{answer.equations!r} {answer.names!r}")
+                except Exception as e:  # an error, whatever its type, is part of the behaviour
+                    parts.append(f"error {type(e).__name__}: {e}")
+                yield "\t".join(parts)
+
+
+def digest(checkout: Path, workload: str, seed: int, max_cases: int | None = None) -> tuple[int, str]:
+    """(number of sequences, SHA-256 hex digest) for one workload at one seed."""
+    cologic, workloads = load(checkout)
+    workload_pass = workloads.WORKLOADS[workload](seed, checkout)
+    h, n = hashlib.sha256(), 0
+    for line in sequences(cologic, workload_pass, max_cases):
+        h.update(line.encode("utf-8") + b"\n")
+        n += 1
+    return n, h.hexdigest()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parents[1],
+                        help="repository root whose src/ and perfbench/ to use (default: this one)")
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--workload", choices=WORKLOADS, action="append",
+                        help="workload to digest; repeatable (default: all three)")
+    parser.add_argument("--cases", type=int, default=None,
+                        help="digest only the first N query cases of each workload")
+    args = parser.parse_args(argv)
+    checkout = args.checkout.resolve()
+    for workload in args.workload or WORKLOADS:
+        n, hexdigest = digest(checkout, workload, args.seed, args.cases)
+        print(f"{workload}\t{n}\t{hexdigest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
