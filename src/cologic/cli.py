@@ -62,8 +62,8 @@ def oracle_report(program: Program) -> str:
 
 
 # Errors reported as one stderr line: the package's own, and running out of
-# Python stack on a deeply nested term (the parser and answer extraction
-# still recurse on term depth).
+# Python stack on a deeply nested term (answer extraction and the other
+# term walks, not the parser, still recurse on term depth).
 _REPORTED = (CologicError, RecursionError)
 
 

@@ -27,12 +27,12 @@ goal's context picks the stratum:
   alternatives.
 
 The loop does not recurse per selected goal, so branch depth is not
-limited by Python's recursion limit. These walks still recurse on term
-depth: :func:`cologic.unify.extract_answer`, the parser,
-:func:`cologic.terms.fresh_rename`, :func:`cologic.terms.substitute`,
-``cologic.oracle._scan_constants``, :func:`cologic.terms.render_term` and
-:func:`eval_arith`; a program fact holding a 1,500-element list already
-overflows in ``fresh_rename``.
+limited by Python's recursion limit; the parser reads terms in a loop
+too. These walks still recurse on term depth:
+:func:`cologic.unify.extract_answer`, :func:`cologic.terms.fresh_rename`,
+:func:`cologic.terms.substitute`, ``cologic.oracle._scan_constants``,
+:func:`cologic.terms.render_term` and :func:`eval_arith`; a program fact
+holding a 1,500-element list already overflows in ``fresh_rename``.
 
 Both lookups are keyed (path indexing that reads the first argument first,
 as in tabling tries: Ramakrishnan et al. 1999, *Efficient access

@@ -16,15 +16,18 @@ Lowercase-initial identifiers are functors/predicates, uppercase or
 underscore-initial are variables, ``_`` alone is anonymous (each occurrence
 fresh). ``%`` starts a comment to end of line. An entry ``cofact(A).``
 declares ``A`` as a co-fact and must have no body.
+
+The text is scanned once by one regular expression, and terms are read by
+one loop over an explicit stack, so nesting depth is bounded by memory,
+not by Python's recursion limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .errors import ParseError
 from .terms import (
-    CONS,
     NIL,
     Atom,
     Clause,
@@ -37,96 +40,53 @@ from .terms import (
     Var,
     VarSource,
     _INFIX_PREDICATES,
+    list_term,
+)
+
+# Blanks and comments match the group-less first branch. Then, by group:
+# 1 a decimal integer, 2 a word, 3 a punctuation mark (longest first),
+# 4 any other character.
+_TOKEN = re.compile(
+    r"[ \t\r\n]+|%[^\n]*|(\d+)|(\w+)"
+    r"|(=:=|=\\=|:-|\?-|=<|>=|\\=|//|[-=<>+*()\[\],|.])|(.)"
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "name" | "var" | "int" | "punct" | "eof"
-    text: str
-    line: int
-    column: int
+def _error(message: str, text: str, offset: int, origin: str) -> ParseError:
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1, origin)
 
 
-_PUNCT = (
-    ":-",
-    "?-",
-    "=:=",
-    "=\\=",
-    "=<",
-    ">=",
-    "\\=",
-    "//",
-    "=",
-    "<",
-    ">",
-    "+",
-    "-",
-    "*",
-    "(",
-    ")",
-    "[",
-    "]",
-    ",",
-    "|",
-    ".",
-)
+def _tokenize(text: str, origin: str) -> list[tuple[str, str, int]]:
+    """Tokens as (kind, text, offset) tuples, ending with an "eof" token.
 
-_SUM_OPS = ("+", "-")
-_MUL_OPS = ("*", "//")
-
-
-def _tokenize(text: str, origin: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    ``kind`` is "int", "name", "var" or the punctuation mark itself.
+    """
+    tokens: list[tuple[str, str, int]] = []
+    append = tokens.append
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        if group is None:
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            tokens.append(_Token("int", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            kind = "var" if word[0] == "_" or word[0].isupper() else "name"
-            tokens.append(_Token(kind, word, line, col))
-            col += i - start
-            continue
-        for punct in _PUNCT:
-            if text.startswith(punct, i):
-                tokens.append(_Token("punct", punct, line, col))
-                i += len(punct)
-                col += len(punct)
-                break
+        word = match[group]
+        if group == 3:
+            append((word, word, match.start()))
+        elif group == 1:
+            append(("int", word, match.start()))
+        elif group == 2 and (word[0].isalpha() or word[0] == "_"):
+            append(("var" if word[0] == "_" or word[0].isupper() else "name", word, match.start()))
         else:
-            raise ParseError(f"unexpected character {ch!r}", line, col, origin)
-    tokens.append(_Token("eof", "", line, col))
+            raise _error(f"unexpected character {word[0]!r}", text, match.start(), origin)
+    # End of input sits at the start of a comment that ends the text, not after
+    # it, so an error found there points at the comment.
+    end = text.find("%", text.rfind("\n") + 1)
+    tokens.append(("eof", "", len(text) if end < 0 else end))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str, origin: str, var_source: VarSource):
+        self.text = text
         self.tokens = _tokenize(text, origin)
         self.pos = 0
         self.origin = origin
@@ -135,129 +95,131 @@ class _Parser:
         # var name -> Var, scoped to the current clause or query
         self.scope: dict[str, Var] = {}
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def fail(self, message: str, token: tuple[str, str, int] | None = None):
+        token = token or self.tokens[self.pos]
+        raise _error(message, self.text, token[2], self.origin)
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def fail_expected(self, what: str, token: tuple[str, str, int]):
+        self.fail(f"expected {what} but found {token[1] or 'end of input'!r}", token)
+
+    def at(self, kind: str) -> bool:
+        return self.tokens[self.pos][0] == kind
+
+    def expect(self, kind: str) -> None:
+        if not self.at(kind):
+            self.fail_expected(repr(kind), self.tokens[self.pos])
         self.pos += 1
-        return tok
-
-    def fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.column, self.origin)
-
-    def at_punct(self, *texts: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text in texts
-
-    def expect_punct(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.text != text:
-            shown = tok.text or "end of input"
-            self.fail(f"expected {text!r} but found {shown!r}")
-        return self.next()
-
-    def new_scope(self) -> None:
-        self.scope = {}
-
-    def variable(self, name: str) -> Var:
-        if name == "_":
-            return self.vars.fresh()
-        hit = self.scope.get(name)
-        if hit is None:
-            hit = self.scope[name] = self.vars.fresh()
-            self.var_names[hit.id] = name
-        return hit
 
     # term parsing
 
     def term(self) -> Term:
-        left = self.mult()
-        while self.at_punct(*_SUM_OPS):
-            op = self.next().text
-            left = Compound(op, (left, self.mult()))
-        return left
+        """Read one term: a loop that alternates reading a primary and closing it.
 
-    def mult(self) -> Term:
-        left = self.prim()
-        while self.at_punct(*_MUL_OPS):
-            op = self.next().text
-            left = Compound(op, (left, self.prim()))
-        return left
-
-    def prim(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.next()
-            return Int(int(tok.text))
-        if tok.kind == "punct" and tok.text == "-" and self.tokens[self.pos + 1].kind == "int":
-            self.next()
-            return Int(-int(self.next().text))
-        if tok.kind == "var":
-            self.next()
-            return self.variable(tok.text)
-        if tok.kind == "name":
-            self.next()
-            if self.at_punct("("):
-                self.next()
-                args = [self.term()]
-                while self.at_punct(","):
-                    self.next()
-                    args.append(self.term())
-                self.expect_punct(")")
-                return Compound(tok.text, tuple(args))
-            return Compound(tok.text)
-        if tok.kind == "punct" and tok.text == "(":
-            self.next()
-            inner = self.term()
-            self.expect_punct(")")
-            return inner
-        if tok.kind == "punct" and tok.text == "[":
-            return self.list_term()
-        shown = tok.text or "end of input"
-        self.fail(f"expected a term but found {shown!r}")
-
-    def list_term(self) -> Term:
-        self.expect_punct("[")
-        if self.at_punct("]"):
-            self.next()
-            return Compound(NIL)
-        items = [self.term()]
-        while self.at_punct(","):
-            self.next()
-            items.append(self.term())
-        tail: Term = Compound(NIL)
-        if self.at_punct("|"):
-            self.next()
-            tail = self.term()
-        self.expect_punct("]")
-        out = tail
-        for item in reversed(items):
-            out = Compound(CONS, (item, out))
-        return out
+        The frame being read lives in locals: its kind ("top", "call", "(",
+        "[" for a list body, "|" for a list tail), the call's functor, the
+        arguments or list items read so far, and the pending ``*``/``//``
+        and ``+``/``-`` operands, folded left to right. Opening a bracket
+        saves the frame on ``stack``; closing one restores it.
+        """
+        tokens, pos, scope, fresh = self.tokens, self.pos, self.scope, self.vars.fresh
+        stack: list[tuple] = []
+        frame, functor, items = "top", "", []
+        sum_left = mul_left = None
+        sum_op = mul_op = ""
+        while True:
+            token = tokens[pos]
+            kind, text = token[0], token[1]
+            pos += 1
+            if kind == "var":
+                if text == "_":
+                    value = fresh()
+                else:
+                    value = scope.get(text)
+                    if value is None:
+                        value = scope[text] = fresh()
+                        self.var_names[value.id] = text
+            elif kind == "name" and tokens[pos][0] != "(":
+                value = Compound(text)
+            elif kind == "[" and tokens[pos][0] == "]":
+                value = Compound(NIL)
+                pos += 1
+            elif kind == "name" or kind == "(" or kind == "[":
+                stack.append((frame, functor, items, sum_left, sum_op, mul_left, mul_op))
+                frame, functor, items, sum_op, mul_op = kind, text, [], "", ""
+                if kind == "name":
+                    frame = "call"
+                    pos += 1
+                continue
+            else:
+                if kind == "-" and tokens[pos][0] == "int":
+                    token = tokens[pos]
+                    kind, text = "int", "-" + token[1]
+                    pos += 1
+                if kind != "int":
+                    self.fail_expected("a term", token)
+                try:
+                    value = Int(int(text))
+                except ValueError:  # longer than the interpreter converts
+                    self.fail("integer literal too long", token)
+            # Fold the primary into its frame and close every bracket it ends.
+            while True:
+                if mul_op:
+                    value = Compound(mul_op, (mul_left, value))
+                token = tokens[pos]
+                kind = token[0]
+                if kind == "*" or kind == "//":
+                    mul_left, mul_op = value, kind
+                    break
+                mul_op = ""
+                if sum_op:
+                    value = Compound(sum_op, (sum_left, value))
+                if kind == "+" or kind == "-":
+                    sum_left, sum_op = value, kind
+                    break
+                sum_op = ""
+                if frame == "top":
+                    self.pos = pos
+                    return value
+                if kind == "," and (frame == "call" or frame == "["):
+                    items.append(value)
+                    break
+                if kind == "|" and frame == "[":
+                    items.append(value)
+                    frame = "|"
+                    break
+                close = "]" if frame == "[" or frame == "|" else ")"
+                if kind != close:
+                    self.fail_expected(repr(close), token)
+                pos += 1
+                if frame == "call":
+                    items.append(value)
+                    value = Compound(functor, tuple(items))
+                elif frame == "[":
+                    items.append(value)
+                    value = list_term(items)
+                elif frame == "|":
+                    value = list_term(items, value)
+                frame, functor, items, sum_left, sum_op, mul_left, mul_op = stack.pop()
+            pos += 1
 
     # atom parsing
 
     def atom(self) -> Atom:
-        start = self.peek()
+        start = self.tokens[self.pos]
         left = self.term()
-        tok = self.peek()
-        is_infix = (tok.kind == "punct" and tok.text in _INFIX_PREDICATES) or (
-            tok.kind == "name" and tok.text == "is"
-        )
-        if is_infix:
-            self.next()
-            right = self.term()
-            return Atom(tok.text, (left, right))
+        token = self.tokens[self.pos]
+        # Only a name token can read "is", only punctuation the other infix marks.
+        if token[1] in _INFIX_PREDICATES:
+            self.pos += 1
+            return Atom(token[1], (left, self.term()))
         if isinstance(left, Compound):
             return Atom(left.functor, left.args)
         self.fail("expected a predicate atom", start)
 
     def body(self) -> tuple[Atom, ...]:
         atoms = [self.atom()]
-        while self.at_punct(","):
-            self.next()
+        while self.at(","):
+            self.pos += 1
             atoms.append(self.atom())
         return tuple(atoms)
 
@@ -266,15 +228,15 @@ class _Parser:
     def program(self) -> Program:
         clauses: list[Clause] = []
         cofacts: list[Atom] = []
-        while self.peek().kind != "eof":
-            self.new_scope()
-            start = self.peek()
+        while not self.at("eof"):
+            self.scope = {}
+            start = self.tokens[self.pos]
             head = self.atom()
             body: tuple[Atom, ...] = ()
-            if self.at_punct(":-"):
-                self.next()
+            if self.at(":-"):
+                self.pos += 1
                 body = self.body()
-            self.expect_punct(".")
+            self.expect(".")
             if head.predicate == "cofact":
                 if body:
                     self.fail("a cofact declaration cannot have a body", start)
@@ -289,15 +251,14 @@ class _Parser:
         return Program(tuple(clauses), tuple(cofacts), self.var_names)
 
     def query(self) -> Query:
-        self.new_scope()
-        if self.at_punct("?-"):
-            self.next()
+        if self.at("?-"):
+            self.pos += 1
         atoms: tuple[Atom, ...] = ()
-        if self.peek().kind != "eof" and not self.at_punct("."):
+        if not self.at("eof") and not self.at("."):
             atoms = self.body()
-        if self.at_punct("."):
-            self.next()
-        if self.peek().kind != "eof":
+        if self.at("."):
+            self.pos += 1
+        if not self.at("eof"):
             self.fail("trailing input after query")
         atoms = tuple(a for a in atoms if not (a.predicate == "true" and a.arity == 0))
         names = {var.id: name for name, var in self.scope.items()}

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence, Union
 
+from .errors import CologicError
+
 NIL = "[]"
 CONS = "."
 
@@ -380,7 +382,10 @@ def render_term(t: Term, names: dict[int, str] | None = None) -> str:
             return names[t.id]
         return f"_G{t.id}"
     if isinstance(t, Int):
-        return str(t.value)
+        try:
+            return str(t.value)
+        except ValueError:  # more digits than the interpreter converts
+            raise CologicError(f"integer too large to print ({t.value.bit_length()} bits)") from None
     if t.functor == NIL and not t.args:
         return "[]"
     if t.functor == CONS and len(t.args) == 2:

@@ -281,8 +281,9 @@ def test_oracle_report_function(pq_path):
     ]
 
 
-# Inputs whose nesting exceeds Python's recursion limit in the parser (a
-# term 1,200 deep) and in answer extraction (a 1,500-element list literal).
+# Inputs whose nesting exceeds Python's recursion limit in answer extraction:
+# a term 1,200 deep and a 1,500-element list literal both parse, then overflow
+# in extract_answer.
 TOO_DEEP = {
     "deep_term": "?- X = " + "f(" * 1200 + "a" + ")" * 1200 + ".",
     "long_list": "?- L = [" + ", ".join(str(i) for i in range(1, 1501)) + "].",

@@ -3,22 +3,28 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cologic import (
     Atom,
+    Clause,
     Compound,
     Int,
     ParseError,
     Var,
+    list_term,
     parse_program,
     parse_query,
     render_program,
+    render_term,
 )
 from cologic.terms import term_vars
 from corpus import random_datalog_program
-from helpers import PQ_EXAMPLE, RUNNING_EXAMPLE, alpha_equal_program
+from helpers import PQ_EXAMPLE, RUNNING_EXAMPLE, alpha_equal_clause, alpha_equal_program
 
 
 def test_running_example_counts():
@@ -170,7 +176,7 @@ def test_round_trip_random_corpus():
 def test_tokenizer_never_crashes_on_noise():
     # Arbitrary input either parses or raises ParseError with a position.
     rng = random.Random(13)
-    alphabet = "ap X01,.()[]|:-=<>%\n\t \\"
+    alphabet = "ap X01,.()[]|:-=<>%\n\t \\²½٣é"
     for _ in range(300):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 25)))
         try:
@@ -186,3 +192,87 @@ def test_error_position_inside_long_token():
         parse_program(source)
     assert err.value.line == 2
     assert 9 <= err.value.column <= 11
+
+
+def test_only_decimal_digits_are_integers():
+    # '²' is a digit to str.isdigit but not to int(); '٣' is a decimal digit.
+    with pytest.raises(ParseError) as err:
+        parse_program("p(²).")
+    assert (err.value.message, err.value.line, err.value.column) == ("unexpected character '²'", 1, 3)
+    assert parse_program("p(٣).").clauses[0].head == Atom("p", (Int(3),))
+
+
+def test_oversized_integer_literal_is_a_parse_error():
+    digits = "9" * 5000  # past Python's default int-to-string limit of 4,300 digits
+    with pytest.raises(ParseError, match="integer literal too long") as err:
+        parse_query(f"?- X = {digits}.")
+    assert (err.value.line, err.value.column) == (1, 8)
+    with pytest.raises(ParseError, match="integer literal too long"):
+        parse_program(f"p(-{digits}).")
+
+
+# Deeper than Python's default recursion limit of 1,000.
+DEPTH = 10_000
+
+
+def _query_arg(text: str):
+    return parse_query(f"?- X = {text}.").goal.atoms[0].args[1]
+
+
+def test_deep_nesting_parses():
+    assert sys.getrecursionlimit() < DEPTH
+    # Walked in loops: == and repr on these terms would recurse themselves.
+    term = _query_arg("f(" * DEPTH + "a" + ")" * DEPTH)
+    for _ in range(DEPTH):
+        assert term.functor == "f" and len(term.args) == 1
+        term = term.args[0]
+    assert term == Compound("a")
+
+    assert _query_arg("(" * DEPTH + "a" + ")" * DEPTH) == Compound("a")
+
+    term = _query_arg("[" * DEPTH + "]" * DEPTH)  # the innermost [] is nil
+    for _ in range(DEPTH - 1):
+        assert term.functor == "." and term.args[1] == Compound("[]")
+        term = term.args[0]
+    assert term == Compound("[]")
+
+
+def test_long_list_and_long_sum_parse():
+    term = _query_arg("[" + ", ".join(["1"] * DEPTH) + "]")
+    for _ in range(DEPTH):
+        assert term.functor == "." and term.args[0] == Int(1)
+        term = term.args[1]
+    assert term == Compound("[]")
+
+    term = _query_arg("+".join(["1"] * DEPTH))  # left associative: ((1+1)+1)+...
+    for _ in range(DEPTH - 1):
+        assert term.functor == "+" and term.args[1] == Int(1)
+        term = term.args[0]
+    assert term == Int(1)
+
+
+_LEAVES = st.one_of(
+    st.integers(-30, 30).map(Int),
+    st.integers(0, 3).map(Var),
+    st.sampled_from(["a", "b", "[]"]).map(Compound),
+)
+
+
+def _compound_terms(children):
+    args = st.lists(children, min_size=1, max_size=3)
+    return st.one_of(
+        st.builds(lambda f, xs: Compound(f, tuple(xs)), st.sampled_from(["f", "g"]), args),
+        args.map(list_term),
+        st.builds(list_term, args, children),
+        st.builds(lambda op, x, y: Compound(op, (x, y)), st.sampled_from(["+", "-", "*", "//"]), children, children),
+    )
+
+
+# Covers every frame kind of the term reader: a call holding a list with a
+# tail, a parenthesized operation and a list without one.
+@example(Compound("f", (list_term([Int(-1)], Var(0)), Compound("-", (Var(0), Int(-2))), list_term([Int(3)]))))
+@given(st.recursive(_LEAVES, _compound_terms, max_leaves=12))
+def test_render_then_parse_round_trips(term):
+    # Unnamed variables render as _G<id>, which reads back as a named variable.
+    parsed = parse_program(f"t({render_term(term)}).").clauses[0]
+    assert alpha_equal_clause(parsed, Clause(Atom("t", (term,))))

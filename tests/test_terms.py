@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cologic import (
     Atom,
     Clause,
+    CologicError,
     Compound,
     Int,
     Var,
@@ -23,6 +25,7 @@ from cologic.terms import (
     term_vars,
     with_universal_cofacts,
 )
+from cologic.cli import main
 from helpers import alpha_equal_clause, canon_clause
 
 
@@ -123,6 +126,19 @@ def test_list_sugar_rendering():
     assert render_term(list_term([Int(1), Int(2)], tail=Var(9)), {9: "T"}) == "[1, 2|T]"
     assert render_term(Compound("[]")) == "[]"
     assert render_term(Compound("+", (Int(1), Int(2)))) == "(1+2)"
+
+
+def test_oversized_integer_answer_is_reported(tmp_path, capsys):
+    # 1000**1500 has 4,501 digits, past Python's default int-to-string limit.
+    path = tmp_path / "pow.colp"
+    path.write_text("pow(0, 1).\npow(N, X) :- N > 0, M is N - 1, pow(M, Y), X is Y * 1000.\n")
+    with pytest.raises(CologicError, match="integer too large to print"):
+        render_term(Int(1000**1500))
+    code = main([str(path), "--query", "?- pow(1500, X).", "--query", "?- pow(2, X)."])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "X = 1000000\n"  # later queries still run
+    assert captured.err.splitlines() == ["integer too large to print (14949 bits)"]
 
 
 def test_canon_clause_is_order_sensitive():

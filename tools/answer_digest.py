@@ -15,6 +15,14 @@ workload: the name, the number of sequences and their SHA-256 digest.
 Two checkouts give equal digests exactly when they give the same answers
 in the same order, with the same variable ids and errors.
 
+A last line, ``parse``, digests the parser alone: the ``repr`` of
+``parse_program`` for every program text of the three workloads and of
+``parse_query`` for every query text, then, for 2,000 noise texts drawn
+from the seed, the ``repr`` of each parse or its ``ParseError`` message,
+line and column. A text that fails otherwise (a term too deep for the
+``repr``, or for a parser that recurses) records the error type alone.
+``--workload parse`` prints only this line.
+
 Uses the standard library only.
 """
 
@@ -23,6 +31,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib
+import random
 import sys
 from itertools import islice
 from pathlib import Path
@@ -31,6 +40,8 @@ MODES = ("cofacts", "inductive", "coinductive")
 BUDGETS = (40, 20_000)
 MAX_ANSWERS = 12
 WORKLOADS = ("lists", "facts", "corpus")
+NOISE_ALPHABET = "ap X01,.()[]|:-=<>%\n\t \\٣é"
+NOISE_TEXTS = 2_000
 
 
 def load(checkout: Path):
@@ -77,19 +88,51 @@ def digest(checkout: Path, workload: str, seed: int, max_cases: int | None = Non
     return n, h.hexdigest()
 
 
+def parsed(cologic, parse, text: str) -> str:
+    """The ``repr`` of one parse, or the error it raised."""
+    try:
+        return repr(parse(text))
+    except cologic.ParseError as e:
+        return f"error {e.message} {e.line} {e.column}"
+    except Exception as e:  # a crash, whatever its type, is recorded by its type alone
+        return f"error {type(e).__name__}"
+
+
+def parse_digest(checkout: Path, seed: int) -> tuple[int, str]:
+    """(number of parses, SHA-256 hex digest) over every workload text and the noise texts."""
+    cologic, workloads = load(checkout)
+    lines = []
+    for workload in WORKLOADS:
+        workload_pass = workloads.WORKLOADS[workload](seed, checkout)
+        lines += [parsed(cologic, cologic.parse_program, text) for text in workload_pass.programs.values()]
+        lines += [parsed(cologic, cologic.parse_query, case.text)
+                  for case in workload_pass.cases if case.op == "query"]
+    rng = random.Random(seed)
+    for _ in range(NOISE_TEXTS):
+        text = "".join(rng.choice(NOISE_ALPHABET) for _ in range(rng.randint(0, 25)))
+        lines += [parsed(cologic, cologic.parse_program, text), parsed(cologic, cologic.parse_query, text)]
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode("utf-8") + b"\n")
+    return len(lines), h.hexdigest()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parents[1],
                         help="repository root whose src/ and perfbench/ to use (default: this one)")
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--workload", choices=WORKLOADS, action="append",
-                        help="workload to digest; repeatable (default: all three)")
+    parser.add_argument("--workload", choices=(*WORKLOADS, "parse"), action="append",
+                        help="workload to digest, or parse; repeatable (default: all four)")
     parser.add_argument("--cases", type=int, default=None,
                         help="digest only the first N query cases of each workload")
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
-    for workload in args.workload or WORKLOADS:
-        n, hexdigest = digest(checkout, workload, args.seed, args.cases)
+    for workload in args.workload or (*WORKLOADS, "parse"):
+        if workload == "parse":
+            n, hexdigest = parse_digest(checkout, args.seed)
+        else:
+            n, hexdigest = digest(checkout, workload, args.seed, args.cases)
         print(f"{workload}\t{n}\t{hexdigest}", flush=True)
     return 0
 
