@@ -30,7 +30,6 @@ The loop does not recurse per selected goal, so branch depth is not
 limited by Python's recursion limit; the parser reads terms in a loop
 too. These walks still recurse on term depth:
 :func:`cologic.unify.extract_answer`, :func:`cologic.terms.fresh_rename`,
-:func:`cologic.terms.substitute`, ``cologic.oracle._scan_constants``,
 :func:`cologic.terms.render_term` and :func:`eval_arith`; a program fact
 holding a 1,500-element list already overflows in ``fresh_rename``.
 

@@ -21,7 +21,7 @@ This module is the ground truth that the search engine is tested against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import UnsupportedProgramError
@@ -31,35 +31,35 @@ from .terms import (
     Clause,
     Compound,
     Goal,
-    Int,
     Program,
     Term,
+    Var,
     render_atom,
     render_clause,
     render_term,
-    substitute,
     term_vars,
 )
 
 _DUMMY_CONSTANT: Term = Compound("a")
 
+#: The most clause instances one :func:`ground_instances` call may build.
+MAX_GROUND_INSTANCES = 1_000_000
+
 
 @dataclass(frozen=True)
 class GroundUniverse:
-    """The finite set of constants that ground instantiation draws from."""
+    """The finite set of constants that ground instantiation draws from.
+
+    Also holds each clause's ground instances once they are built, so every
+    semantics computed over one universe instantiates a clause only once.
+    They depend only on the clause and the constants, so threads that build
+    them concurrently build equal sets.
+    """
 
     constants: tuple[Term, ...]
-
-
-def _scan_constants(t: Term, out: set[Term]) -> None:
-    if isinstance(t, Int):
-        out.add(t)
-    elif isinstance(t, Compound):
-        if not t.args:
-            out.add(t)
-        else:
-            for a in t.args:
-                _scan_constants(a, out)
+    _instances: dict[Clause, frozenset[Clause]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 def universe_for(program: Program, *goals: Goal) -> GroundUniverse:
@@ -68,18 +68,22 @@ def universe_for(program: Program, *goals: Goal) -> GroundUniverse:
     Injects a single dummy constant when nothing at all is found, so the
     universe is never empty.
     """
-    consts: set[Term] = set()
+    stack: list[Term] = []
     for clause in program.clauses:
         for atom in (clause.head, *clause.body):
-            for t in atom.args:
-                _scan_constants(t, consts)
+            stack.extend(atom.args)
     for cofact in program.cofacts:
-        for t in cofact.args:
-            _scan_constants(t, consts)
+        stack.extend(cofact.args)
     for goal in goals:
         for atom in goal.atoms:
-            for t in atom.args:
-                _scan_constants(t, consts)
+            stack.extend(atom.args)
+    consts: set[Term] = set()
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Compound) and t.args:
+            stack.extend(t.args)
+        elif not isinstance(t, Var):
+            consts.add(t)
     if not consts:
         consts.add(_DUMMY_CONSTANT)
     return GroundUniverse(tuple(sorted(consts, key=render_term)))
@@ -101,24 +105,75 @@ def _require_datalog(clauses: Iterable[Clause]) -> None:
                     )
 
 
+def _instantiate(
+    clause: Clause, var_ids: list[int], constants: tuple[Term, ...]
+) -> frozenset[Clause]:
+    """Every instance of one datalog clause, its variables ranging over ``constants``.
+
+    Each argument is a variable or a constant, so each atom becomes a
+    template of positions in the variables' values followed by the
+    clause's constants, and an instance reads its arguments off that tuple.
+    """
+    if not var_ids:
+        return frozenset((clause,))
+    slot = {vid: i for i, vid in enumerate(var_ids)}
+    fixed: list[Term] = []
+    templates = []
+    for atom in (clause.head, *clause.body):
+        positions = []
+        for t in atom.args:
+            if isinstance(t, Var):
+                positions.append(slot[t.id])
+            else:
+                positions.append(len(var_ids) + len(fixed))
+                fixed.append(t)
+        templates.append((atom.predicate, tuple(positions)))
+    (head_name, head_positions), *body = templates
+    tail = tuple(fixed)
+    out: set[Clause] = set()
+    for combo in itertools.product(constants, repeat=len(var_ids)):
+        value = (combo + tail).__getitem__
+        out.add(Clause(
+            Atom(head_name, tuple(map(value, head_positions))),
+            tuple([Atom(name, tuple(map(value, positions))) for name, positions in body]),
+        ))
+    return frozenset(out)
+
+
 def ground_instances(
     clauses: Sequence[Clause], universe: GroundUniverse
 ) -> frozenset[Clause]:
-    """All instantiations of the clauses' variables by universe constants."""
+    """All instantiations of the clauses' variables by universe constants.
+
+    Instances are built once per clause and universe, and kept on the
+    universe. Raises :class:`UnsupportedProgramError`, before building
+    anything, when the given clauses have more than
+    ``MAX_GROUND_INSTANCES`` instances in all.
+    """
     _require_datalog(clauses)
-    out: set[Clause] = set()
-    for clause in clauses:
-        var_ids = sorted(term_vars(clause))
-        for combo in itertools.product(universe.constants, repeat=len(var_ids)):
-            out.add(substitute(clause, dict(zip(var_ids, combo))))
-    return frozenset(out)
+    built = universe._instances
+    found = [built.get(c) for c in clauses]
+    todo: dict[Clause, list[int]] = {}
+    for c, got in zip(clauses, found):
+        if got is None and c not in todo:
+            todo[c] = sorted(term_vars(c))
+    # Distinct combinations give distinct instances, so a clause with k
+    # variables has len(universe.constants) ** k of them, built or not.
+    n = len(universe.constants)
+    size = sum(n ** len(todo[c]) if got is None else len(got) for c, got in zip(clauses, found))
+    if size > MAX_GROUND_INSTANCES:
+        raise UnsupportedProgramError(
+            f"grounding needs {size:,} clause instances, more than the oracle's"
+            f" limit of {MAX_GROUND_INSTANCES:,}"
+        )
+    for c, var_ids in todo.items():
+        built[c] = _instantiate(c, var_ids, universe.constants)
+    return frozenset().union(*(built[c] if got is None else got for c, got in zip(clauses, found)))
 
 
 def op_step(ground_clauses: Iterable[Clause], interp: frozenset[Atom]) -> frozenset[Atom]:
     """One-step inference: heads of ground clauses whose bodies the interpretation satisfies."""
-    return frozenset(
-        c.head for c in ground_clauses if all(b in interp for b in c.body)
-    )
+    return frozenset(c.head for c in ground_clauses if interp.issuperset(c.body))
 
 
 def herbrand_base(clauses: Sequence[Clause], universe: GroundUniverse) -> frozenset[Atom]:

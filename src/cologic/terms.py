@@ -311,21 +311,6 @@ def term_vars(x) -> set[int]:
     return out
 
 
-def substitute(x, mapping: dict[int, Term]):
-    """Apply a variable-id substitution to a term, atom, or clause."""
-    if isinstance(x, Var):
-        return mapping.get(x.id, x)
-    if isinstance(x, Int):
-        return x
-    if isinstance(x, Compound):
-        return Compound(x.functor, tuple(substitute(a, mapping) for a in x.args))
-    if isinstance(x, Atom):
-        return Atom(x.predicate, tuple(substitute(a, mapping) for a in x.args))
-    if isinstance(x, Clause):
-        return Clause(substitute(x.head, mapping), tuple(substitute(b, mapping) for b in x.body))
-    raise TypeError(f"cannot substitute into {type(x).__name__}")
-
-
 def max_var_id(*items) -> int:
     """Largest variable id occurring in the given items; -1 if there are none.
 

@@ -24,7 +24,6 @@ from cologic import (
     parse_query,
     solve,
 )
-from cologic.terms import substitute
 from cologic.unify import BindStore, unify, variant_equal
 
 RUNNING_EXAMPLE = """
@@ -45,6 +44,21 @@ p(0) :- p(0), p(1).
 p(1) :- p(0), p(1).
 cofact(p(0)).
 """
+
+
+def substitute(x, mapping: dict[int, Term]):
+    """Apply a variable-id substitution to a term, atom, or clause."""
+    if isinstance(x, Var):
+        return mapping.get(x.id, x)
+    if isinstance(x, Int):
+        return x
+    if isinstance(x, Compound):
+        return Compound(x.functor, tuple(substitute(a, mapping) for a in x.args))
+    if isinstance(x, Atom):
+        return Atom(x.predicate, tuple(substitute(a, mapping) for a in x.args))
+    if isinstance(x, Clause):
+        return Clause(substitute(x.head, mapping), tuple(substitute(b, mapping) for b in x.body))
+    raise TypeError(f"cannot substitute into {type(x).__name__}")
 
 
 def canon_clause(clause: Clause) -> Clause:

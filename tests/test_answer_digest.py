@@ -39,3 +39,15 @@ def test_parse_digest_repeats_across_processes():
     assert name == "parse" and int(parses) > 2 * 2_000  # two parses of each noise text, then the workloads
     assert len(digest) == 64
     assert outputs[0] == outputs[1]
+
+
+def test_oracle_digest_repeats_across_processes():
+    argv = [sys.executable, str(ROOT / "tools" / "answer_digest.py"), "--checkout", str(ROOT),
+            "--seed", "3", "--workload", "oracle"]
+    outputs = [subprocess.run(argv, capture_output=True, text=True, check=True, timeout=300,
+                              env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+               for seed in ("1", "2")]
+    name, reports, digest = outputs[0].split()
+    assert name == "oracle" and int(reports) == 1 + 1_600  # the lists program, then every corpus program
+    assert len(digest) == 64
+    assert outputs[0] == outputs[1]

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cologic import (
     Clause,
@@ -20,10 +24,12 @@ from cologic import (
     parse_program,
     universe_for,
 )
+from cologic import oracle
+from cologic.cli import oracle_report
 from cologic.oracle import ground_instances, herbrand_base, op_step
-from cologic.terms import with_universal_cofacts
+from cologic.terms import term_vars, with_universal_cofacts
 from corpus import corpus
-from helpers import PQ_EXAMPLE, atom
+from helpers import PQ_EXAMPLE, atom, substitute
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +75,88 @@ def test_non_datalog_rejected():
     with pytest.raises(UnsupportedProgramError, match="p\\(\\[0\\]\\)"):
         # message names the offending clause
         ind_semantics(parse_program("p([0]).").clauses, GroundUniverse((Int(0),)))
+
+
+def test_long_list_report_is_unsupported():
+    # Collecting the universe's constants walks the 1,500-deep list spine.
+    program = parse_program("p([" + ", ".join(map(str, range(1500))) + "]).")
+    with pytest.raises(UnsupportedProgramError, match="function symbol \\./2"):
+        oracle_report(program)
+
+
+def test_oversized_grounding_is_refused(monkeypatch):
+    # 101 constants, so the 3-variable clause alone has 101**3 = 1,030,301 instances.
+    text = "".join(f"c({i}).\n" for i in range(101)) + "t(X, Y, Z) :- c(X), c(Y), c(Z).\n"
+    program = parse_program(text)
+
+    def instantiate(*args):
+        raise AssertionError("instantiated before the size check")
+
+    monkeypatch.setattr(oracle, "_instantiate", instantiate)
+    assert oracle.MAX_GROUND_INSTANCES == 1_000_000
+    with pytest.raises(UnsupportedProgramError, match="1,030,402 clause instances.* 1,000,000"):
+        ground_instances(program.clauses, universe_for(program))
+
+
+def test_one_report_instantiates_each_clause_once(monkeypatch):
+    # Each instantiation of a clause collects its variables once, so the
+    # calls of term_vars count the instantiations of each clause.
+    seen: Counter = Counter()
+
+    def counting_term_vars(x):
+        seen[x] += 1
+        return term_vars(x)
+
+    monkeypatch.setattr(oracle, "term_vars", counting_term_vars)
+    for program in [parse_program(PQ_EXAMPLE), *corpus(seed=28, count=20)]:
+        seen.clear()
+        oracle_report(program)
+        assert seen == Counter(set(program.extended()))
+
+
+def _instances_by_substitution(clauses, constants) -> frozenset[Clause]:
+    """Ground instances by substituting every combination into every clause."""
+    out = set()
+    for clause in clauses:
+        var_ids = sorted(term_vars(clause))
+        for combo in itertools.product(constants, repeat=len(var_ids)):
+            out.add(substitute(clause, dict(zip(var_ids, combo))))
+    return frozenset(out)
+
+
+_SHARED_PROGRAMS = corpus(seed=29, count=30)
+_CLAUSE_SETS = {
+    "extended": lambda p: p.extended(),
+    "clauses": lambda p: p.clauses,
+    "cofacts": lambda p: tuple(Clause(a) for a in p.cofacts),
+}
+_SEMANTICS = {
+    "ind": lambda p, u: ind_semantics(p.extended(), u),
+    "coind": lambda p, u: coind_semantics(p.clauses, u),
+    "gen": generated_semantics,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_SHARED_PROGRAMS), st.permutations(sorted(_CLAUSE_SETS.keys() | _SEMANTICS.keys())))
+def test_shared_universe_matches_fresh_universes(program, order):
+    constants = universe_for(program).constants
+    shared = GroundUniverse(constants)
+    for name in order:
+        if name in _CLAUSE_SETS:
+            clauses = _CLAUSE_SETS[name](program)
+            expected = _instances_by_substitution(clauses, constants)
+            assert ground_instances(clauses, GroundUniverse(constants)) == expected
+            assert ground_instances(clauses, shared) == expected
+        else:
+            semantics = _SEMANTICS[name]
+            assert semantics(program, shared) == semantics(program, GroundUniverse(constants))
+    # After every call, the clauses' instances still hold no co-fact instance.
+    assert ground_instances(program.clauses, shared) == _instances_by_substitution(
+        program.clauses, constants
+    )
+    fresh = GroundUniverse(constants)
+    assert shared == fresh and hash(shared) == hash(fresh) and repr(shared) == repr(fresh)
 
 
 def test_op_step_examples(pq, pq_universe):

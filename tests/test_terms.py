@@ -21,12 +21,11 @@ from cologic.terms import (
     VarSource,
     fresh_rename,
     max_var_id,
-    substitute,
     term_vars,
     with_universal_cofacts,
 )
 from cologic.cli import main
-from helpers import alpha_equal_clause, canon_clause
+from helpers import alpha_equal_clause, canon_clause, substitute
 
 
 def test_fresh_rename_single_variable_forced():

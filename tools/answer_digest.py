@@ -23,6 +23,13 @@ line and column. A text that fails otherwise (a term too deep for the
 ``repr``, or for a parser that recurses) records the error type alone.
 ``--workload parse`` prints only this line.
 
+A line ``oracle`` digests the oracle: for every program of the ``lists``
+and ``corpus`` workloads, the text of ``cologic.cli.oracle_report``, or
+the error type and message it raised. The ``facts`` program is left out:
+its clauses have about 4.1 billion ground instances, which a cologic
+without the oracle's size limit tries to build. ``--workload oracle``
+prints only this line.
+
 Uses the standard library only.
 """
 
@@ -40,6 +47,7 @@ MODES = ("cofacts", "inductive", "coinductive")
 BUDGETS = (40, 20_000)
 MAX_ANSWERS = 12
 WORKLOADS = ("lists", "facts", "corpus")
+ORACLE_WORKLOADS = ("lists", "corpus")
 NOISE_ALPHABET = "ap X01,.()[]|:-=<>%\n\t \\٣é"
 NOISE_TEXTS = 2_000
 
@@ -117,20 +125,38 @@ def parse_digest(checkout: Path, seed: int) -> tuple[int, str]:
     return len(lines), h.hexdigest()
 
 
+def oracle_digest(checkout: Path, seed: int) -> tuple[int, str]:
+    """(number of reports, SHA-256 hex digest) over the oracle report of every program."""
+    cologic, workloads = load(checkout)
+    cli = importlib.import_module("cologic.cli")
+    h, n = hashlib.sha256(), 0
+    for workload in ORACLE_WORKLOADS:
+        for key, text in workloads.WORKLOADS[workload](seed, checkout).programs.items():
+            try:
+                report = cli.oracle_report(cologic.parse_program(text))
+            except Exception as e:  # an error, whatever its type, is part of the behaviour
+                report = f"error {type(e).__name__}: {e}"
+            h.update(f"{workload} {key}\n{report}\n".encode("utf-8"))
+            n += 1
+    return n, h.hexdigest()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parents[1],
                         help="repository root whose src/ and perfbench/ to use (default: this one)")
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--workload", choices=(*WORKLOADS, "parse"), action="append",
-                        help="workload to digest, or parse; repeatable (default: all four)")
+    parser.add_argument("--workload", choices=(*WORKLOADS, "parse", "oracle"), action="append",
+                        help="workload to digest, parse or oracle; repeatable (default: all five)")
     parser.add_argument("--cases", type=int, default=None,
                         help="digest only the first N query cases of each workload")
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
-    for workload in args.workload or (*WORKLOADS, "parse"):
+    for workload in args.workload or (*WORKLOADS, "parse", "oracle"):
         if workload == "parse":
             n, hexdigest = parse_digest(checkout, args.seed)
+        elif workload == "oracle":
+            n, hexdigest = oracle_digest(checkout, args.seed)
         else:
             n, hexdigest = digest(checkout, workload, args.seed, args.cases)
         print(f"{workload}\t{n}\t{hexdigest}", flush=True)
