@@ -27,11 +27,16 @@ goal's context picks the stratum:
   alternatives.
 
 The loop does not recurse per selected goal, so branch depth is not
-limited by Python's recursion limit; the parser reads terms in a loop
-too. These walks still recurse on term depth:
-:func:`cologic.unify.extract_answer`, :func:`cologic.terms.fresh_rename`,
-:func:`cologic.terms.render_term` and :func:`eval_arith`; a program fact
-holding a 1,500-element list already overflows in ``fresh_rename``.
+limited by Python's recursion limit; the parser, clause renaming
+(:func:`cologic.terms.fresh_rename`) and revisit-count snapshots walk
+terms with their own stacks too. These walks still recurse on term depth:
+:func:`cologic.unify.extract_answer`, :func:`cologic.terms.render_term`
+and :func:`eval_arith`.
+
+Nothing is copied that later search cannot change. Renaming shares a
+clause's ground subterms, and a revisit-count snapshot shares each goal
+argument whose bindings reach no unbound variable, so a revisit trial on
+a cyclic list meets the very same node and stops at once.
 
 Both lookups are keyed (path indexing that reads the first argument first,
 as in tabling tries: Ramakrishnan et al. 1999, *Efficient access
@@ -251,11 +256,12 @@ def hyp_lookup(atom: Atom, hyps: KeyedHyps | None, store: BindStore, key: tuple)
 class LfpCounts:
     """Per-branch visit counts for the bounded SLD stratum.
 
-    Entries are ``(snapshot, key, count)``: a snapshot copy of a goal atom
-    (fresh variables, bindings frozen at insertion, so later search cannot
-    disturb it) and the :func:`lookup_key` it was inserted with. Lookup is
-    trial unification against the first entry whose key fits the goal's,
-    rolled back.
+    Entries are ``(snapshot, key, count)``: a snapshot of a goal atom
+    (closed arguments shared, the others copied with fresh variables, so
+    later search cannot disturb it; see :meth:`Resolution._snapshot_atom`)
+    and the :func:`lookup_key` it was inserted with. Lookup is trial
+    unification against the first entry whose key fits the goal's, rolled
+    back.
     """
 
     entries: tuple[tuple[Atom, tuple, int], ...] = ()
@@ -413,16 +419,40 @@ class Resolution:
     def _snapshot_atom(self, atom: Atom) -> Atom:
         """Copy an atom under its current bindings, with fresh variables.
 
+        An argument whose bindings reach no unbound variable (closed) is
+        kept as is: its bindings are older than the choice point that will
+        hold the snapshot, so any backtrack that undoes them drops the
+        snapshot too, and a revisit trial on it stops at once on
+        ``_unify_inplace``'s ``s is t`` test. Other arguments are copied.
         Cyclic bindings are reproduced through the store (the fresh
         variables are bound below any later choice point, so the copy
         survives exactly as long as the counts that hold it). The walk keeps
         its own stack: fresh variables are taken in preorder, and each is
-        bound once its binding's skeleton has been copied.
+        bound once its binding's skeleton has been copied. Every class
+        reached, in a closed argument too, takes one fresh variable, so the
+        identifiers taken later do not depend on what is shared.
         """
-        store, mapping = self.store, {}
+        store, source = self.store, self.vars
+        # class representative -> its copy, or the original variable when closed
+        mapping: dict[int, Term] = {}
+        args = []
+        for arg in atom.args:
+            reached = _closed_reach(arg, store, mapping)
+            if reached is not None:
+                source.take(len(reached))
+                for rep in reached:
+                    mapping[rep] = Var(rep)
+                args.append(arg)
+            else:
+                args.append(self._copy(arg, mapping))
+        return Atom(atom.predicate, tuple(args))
+
+    def _copy(self, term: Term, mapping: dict[int, Term]) -> Term:
+        """Copy one term under the store, extending ``mapping`` (see :meth:`_snapshot_atom`)."""
+        store = self.store
         done: list[Term] = []  # copied terms, awaiting their parent
         # ("copy", term) | ("build", compound: pop its copied arguments) | ("bind", fresh var)
-        todo: list[tuple[str, object]] = [("copy", t) for t in reversed(atom.args)]
+        todo: list[tuple[str, object]] = [("copy", term)]
         while todo:
             op, x = todo.pop()
             if op == "copy":
@@ -451,7 +481,33 @@ class Resolution:
             else:
                 unify(x, done[-1], store)
                 done[-1] = x
-        return Atom(atom.predicate, tuple(done))
+        return done[0]
+
+
+def _closed_reach(term: Term, store: BindStore, mapping: dict[int, Term]) -> list[int] | None:
+    """The classes ``term`` reaches that ``mapping`` lacks, in preorder; None if it reaches an unbound one.
+
+    Walks the term and the bindings of the classes it meets, each class
+    once, and stops at the first unbound class.
+    """
+    reached: list[int] = []
+    seen: set[int] = set()
+    todo = [term]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Var):
+            rep = store.find(t.id)
+            if rep in seen:
+                continue
+            seen.add(rep)
+            t = store.resolve(t)
+            if isinstance(t, Var):
+                return None
+            if rep not in mapping:
+                reached.append(rep)
+        if isinstance(t, Compound):
+            todo.extend(reversed(t.args))
+    return reached
 
 
 def solve(

@@ -3,10 +3,10 @@
 Terms are always finite trees here. Rational (cyclic) structure never lives
 inside a ``Term`` value; it is represented by bindings in a
 :class:`cologic.unify.BindStore`. Everything in this module is immutable
-after construction and safe to share across threads. The exceptions, a
-program's :class:`ClauseIndex` and its universal-co-fact program, are
-filled in on first use; each depends only on the program, so threads that
-build one concurrently build equal ones.
+after construction and safe to share across threads. The exceptions are
+filled in on first use: a program's :class:`ClauseIndex` and
+universal-co-fact program, and a clause's renaming template. Each depends
+only on its owner, so threads that build one concurrently build equal ones.
 
 Lists are sugar: ``[]`` is the constant ``Compound("[]")`` and ``[H|T]`` is
 ``Compound(".", (H, T))``. The parser desugars and the renderer resugars.
@@ -98,6 +98,11 @@ class Clause:
     @property
     def is_fact(self) -> bool:
         return not self.body
+
+    @cached_property
+    def _template(self) -> tuple | None:
+        """What :func:`fresh_rename` instantiates, built on first use; None for a ground clause."""
+        return _compile_clause(self)
 
     def __str__(self) -> str:
         return render_clause(self)
@@ -261,6 +266,12 @@ class VarSource:
         self._next += 1
         return v
 
+    def take(self, n: int) -> int:
+        """Reserve the next ``n`` identifiers in one step; returns the first."""
+        first = self._next
+        self._next += n
+        return first
+
     @property
     def next_id(self) -> int:
         return self._next
@@ -271,24 +282,106 @@ def fresh_rename(clause: Clause, source: VarSource) -> Clause:
 
     The result shares no variables with anything renamed earlier from the
     same source, erases to the same skeleton, and maps variables
-    injectively.
+    injectively. The k-th distinct variable, counted in preorder over the
+    head and then the body, gets the k-th fresh identifier. Ground
+    subterms and ground atoms are shared with ``clause``, and a ground
+    clause is returned itself. The clause's template (see
+    :func:`_compile_clause`) is built on its first renaming and then kept.
     """
-    mapping: dict[int, Var] = {}
+    template = clause._template
+    if template is None:
+        return clause
+    n, head, body = template
+    first = source.take(n)
+    variables = list(map(Var, range(first, first + n)))
+    return Clause(_instantiate(head, variables), tuple([_instantiate(b, variables) for b in body]))
 
-    def go(t: Term) -> Term:
-        if isinstance(t, Var):
-            hit = mapping.get(t.id)
-            if hit is None:
-                hit = mapping[t.id] = source.fresh()
-            return hit
-        if isinstance(t, Compound) and t.args:
-            return Compound(t.functor, tuple(go(a) for a in t.args))
-        return t
 
-    def go_atom(a: Atom) -> Atom:
-        return Atom(a.predicate, tuple(go(t) for t in a.args))
+def _instantiate(template, variables: list[Var]) -> Atom:
+    if type(template) is Atom:
+        return template
+    predicate, args = template
+    return Atom(predicate, tuple([
+        variables[a] if type(a) is int else _build(a, variables) if type(a) is tuple else a
+        for a in args
+    ]))
 
-    return Clause(go_atom(clause.head), tuple(go_atom(b) for b in clause.body))
+
+def _build(code: tuple, variables: list[Var]) -> Term:
+    """Run a postfix term program (see :func:`_compile_clause`)."""
+    stack: list[Term] = []
+    for op in code:
+        if type(op) is int:
+            stack.append(variables[op])
+        elif type(op) is tuple:
+            functor, n = op
+            args = tuple(stack[-n:])
+            del stack[-n:]
+            stack.append(Compound(functor, args))
+        else:
+            stack.append(op)
+    return stack[0]
+
+
+def _compile_clause(clause: Clause) -> tuple | None:
+    """A clause's renaming template, or None when the clause is ground.
+
+    The template is ``(n, head, body)``: ``n`` distinct variables, numbered
+    0 to n-1 in preorder over the head and then the body, and one template
+    per atom. A ground atom is its own template; any other is
+    ``(predicate, argument templates)``. An argument template is a
+    variable's number, a ground term itself, or, for a compound holding a
+    variable, a tuple of postfix operations: a number pushes that
+    variable, ``(functor, arity)`` pops its arguments and pushes the
+    compound, and anything else is a ground term pushed as is. Both passes
+    keep their own stacks, so term depth is not limited by the recursion
+    limit.
+    """
+    atoms = (clause.head, *clause.body)
+    # Pass 1, bottom-up: the compound nodes that hold a variable.
+    open_ids: set[int] = set()
+    visited: set[int] = set()
+    todo: list[tuple[Term, bool]] = [(t, False) for a in atoms for t in a.args]
+    while todo:
+        t, children_done = todo.pop()
+        if not isinstance(t, Compound) or not t.args:
+            continue
+        if children_done:
+            if any(isinstance(a, Var) or id(a) in open_ids for a in t.args):
+                open_ids.add(id(t))
+        elif id(t) not in visited:
+            visited.add(id(t))
+            todo.append((t, True))
+            todo.extend((a, False) for a in t.args)
+    # Pass 2, preorder: number the variables and emit each argument's template.
+    numbers: dict[int, int] = {}
+
+    def argument(t: Term):
+        code: list = []
+        pending: list = [t]
+        while pending:
+            x = pending.pop()
+            if type(x) is tuple:
+                code.append(x)
+            elif isinstance(x, Var):
+                code.append(numbers.setdefault(x.id, len(numbers)))
+            elif id(x) in open_ids:
+                pending.append((x.functor, len(x.args)))
+                pending.extend(reversed(x.args))
+            else:
+                code.append(x)
+        # A variable or a ground term stands for itself; a compound needs its program.
+        return code[0] if len(code) == 1 else tuple(code)
+
+    templates = []
+    for a in atoms:
+        if any(isinstance(t, Var) or id(t) in open_ids for t in a.args):
+            templates.append((a.predicate, tuple(argument(t) for t in a.args)))
+        else:
+            templates.append(a)
+    if not numbers:
+        return None
+    return len(numbers), templates[0], tuple(templates[1:])
 
 
 def term_vars(x) -> set[int]:

@@ -24,6 +24,7 @@ from cologic import (
     parse_query,
     solve,
 )
+from cologic.terms import VarSource
 from cologic.unify import BindStore, unify, variant_equal
 
 RUNNING_EXAMPLE = """
@@ -61,15 +62,20 @@ def substitute(x, mapping: dict[int, Term]):
     raise TypeError(f"cannot substitute into {type(x).__name__}")
 
 
-def canon_clause(clause: Clause) -> Clause:
-    """Renumber variables 0,1,... in first-occurrence order (head, then body)."""
+def reference_rename(clause: Clause, source: VarSource) -> Clause:
+    """Rename a clause by plain recursion: the reference for :func:`cologic.terms.fresh_rename`.
+
+    Each distinct variable gets the next fresh identifier at its first
+    occurrence, in preorder over the head and then the body.
+    """
     mapping: dict[int, Var] = {}
 
     def go(t: Term) -> Term:
         if isinstance(t, Var):
-            if t.id not in mapping:
-                mapping[t.id] = Var(len(mapping))
-            return mapping[t.id]
+            hit = mapping.get(t.id)
+            if hit is None:
+                hit = mapping[t.id] = source.fresh()
+            return hit
         if isinstance(t, Compound) and t.args:
             return Compound(t.functor, tuple(go(a) for a in t.args))
         return t
@@ -78,6 +84,11 @@ def canon_clause(clause: Clause) -> Clause:
         return Atom(a.predicate, tuple(go(t) for t in a.args))
 
     return Clause(go_atom(clause.head), tuple(go_atom(b) for b in clause.body))
+
+
+def canon_clause(clause: Clause) -> Clause:
+    """Renumber variables 0,1,... in first-occurrence order (head, then body)."""
+    return reference_rename(clause, VarSource(0))
 
 
 def alpha_equal_clause(a: Clause, b: Clause) -> bool:

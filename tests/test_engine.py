@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cologic import (
     Atom,
@@ -35,8 +37,8 @@ from cologic.engine import (
     lookup_key,
 )
 from cologic.terms import VarSource
-from cologic.unify import BindStore, rational_equal, unify
-from helpers import PQ_EXAMPLE, RUNNING_EXAMPLE, ask, ask_all, atom, succeeds
+from cologic.unify import BindStore, rational_equal, unify, variant_equal
+from helpers import PQ_EXAMPLE, RUNNING_EXAMPLE, ask, ask_all, atom, succeeds, unfold
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +234,89 @@ def test_lfp_revisit_limit_configurable():
     loop = parse_program("p :- p.")
     res = Resolution(loop, EngineConfig(lfp_revisit_limit=5))
     assert not any(True for _ in res.solve_lfp((Atom("p"),), LfpCounts()))
+
+
+# revisit-count snapshots
+
+
+def _snapshot(goal: Atom, store: BindStore, first_id: int = 100) -> tuple[Atom, int]:
+    """The snapshot of ``goal`` under ``store`` and the number of fresh variables it took."""
+    resolution = Resolution(Program(), store=store, var_source=VarSource(first_id))
+    snapshot = resolution._snapshot_atom(goal)
+    return snapshot, resolution.vars.next_id - first_id
+
+
+def _classes_reached(goal: Atom, store: BindStore) -> int:
+    """Distinct variable classes reachable from ``goal``'s arguments through the store's bindings."""
+    seen: set[int] = set()
+    todo = list(goal.args)
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Var):
+            rep = store.find(t.id)
+            if rep in seen:
+                continue
+            seen.add(rep)
+            t = store.resolve(t)
+        if isinstance(t, Compound):
+            todo.extend(t.args)
+    return len(seen)
+
+
+def test_snapshot_keeps_a_closed_argument():
+    store = BindStore()
+    L, M = Var(0), Var(1)
+    assert unify(L, list_term([Int(1), Int(2), Int(3)], tail=L), store)
+    goal = Atom("max", (L, M))
+    snapshot, taken = _snapshot(goal, store)
+    assert snapshot.args[0] is L  # closed: shared, not copied
+    assert isinstance(snapshot.args[1], Var) and snapshot.args[1] != M  # open: a fresh variable
+    assert taken == 2  # one per class reached: L's and M's
+
+
+def test_snapshot_takes_one_variable_per_class_reached():
+    # p(X, f(Y, Z), W, [1|Y]) with X = [1|X] (closed), Z = g(X, V) (open
+    # through V) and W = Y: the classes reached are X, Y, Z and V.
+    store = BindStore()
+    X, Y, Z, W, V = (Var(i) for i in range(5))
+    assert unify(X, Compound(".", (Int(1), X)), store)
+    assert unify(Z, Compound("g", (X, V)), store)
+    assert unify(W, Y, store)
+    goal = Atom("p", (X, Compound("f", (Y, Z)), W, Compound(".", (Int(1), Y))))
+    snapshot, taken = _snapshot(goal, store)
+    assert taken == _classes_reached(goal, store) == 4
+    assert snapshot.args[0] is X
+    assert variant_equal(Compound("a", goal.args), store, Compound("a", snapshot.args), store)
+
+
+snapshot_terms = st.recursive(
+    st.integers(0, 2).map(Int) | st.integers(0, 5).map(Var) | st.just(Compound("[]")),
+    lambda sub: st.builds(
+        Compound, st.sampled_from(["f", "."]), st.lists(sub, min_size=1, max_size=2).map(tuple)
+    ),
+    max_leaves=6,
+)
+
+
+@given(
+    st.lists(snapshot_terms, min_size=1, max_size=3),
+    st.lists(st.tuples(st.integers(0, 5), snapshot_terms), max_size=4),
+)
+def test_snapshot_is_a_variant_that_later_bindings_leave_alone(args, bindings):
+    # Bindings whose term holds their own variable make cyclic structure.
+    store = BindStore()
+    for vid, term in bindings:
+        unify(Var(vid), term, store)
+    goal = Atom("p", tuple(args))
+    snapshot, taken = _snapshot(goal, store)
+    assert taken == _classes_reached(goal, store)
+    original, copy = Compound("a", goal.args), Compound("a", snapshot.args)
+    assert variant_equal(original, store, copy, store)
+    before = unfold(copy, store, 12)
+    for vid in range(6):  # every original variable still unbound
+        if store.is_unbound(vid):
+            assert unify(Var(vid), Compound("bound"), store)
+    assert unfold(copy, store, 12) == before
 
 
 # hypothesis stratum
@@ -477,6 +562,16 @@ def test_rational_stream_of_zeros():
     assert not succeeds(program, "?- L = [1|L], zeros(L).")
     assert not succeeds(program, "?- L = [0|L], zeros(L).", mode="inductive")
     assert succeeds(program, "?- L = [0, 0|L], zeros(L).")
+
+
+@pytest.mark.parametrize("tail", ["", "|T"])
+def test_a_fact_holding_a_long_list_renames(tail):
+    # Renaming keeps its own stack, so a 1,500-element list in a fact does
+    # not reach the recursion limit (ground or not).
+    items = ", ".join(str(i) for i in range(1500))
+    program = parse_program(f"big([{items}{tail}]).")
+    assert ask(program, "?- big([0|T]), T = [2|_].") is None
+    assert ask(program, "?- big([0, 1|_]).") is not None
 
 
 def test_shared_variable_cofact_instantiates_per_use():

@@ -1,0 +1,23 @@
+"""tools/scaling.py: every case runs and checks its answer (tiny sizes, no timing asserted)."""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_scaling_runs_every_case_at_tiny_sizes():
+    argv = [sys.executable, str(ROOT / "tools" / "scaling.py"), "--checkout", str(ROOT),
+            "--finite", "5,12", "--periods", "2,3"]
+    run = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.strip().splitlines()[-1])
+    rows = result["rows"]
+    assert [(row["case"], row["size"]) for row in rows] == [
+        (case, n) for n in (5, 12) for case in ("all_pos/finite", "max/finite", "member_miss/finite")
+    ] + [(case, p) for p in (2, 3) for case in ("max/cycle", "all_pos/cycle")]
+    assert all(row["ok"] and row["cpu_s"] >= 0 for row in rows)

@@ -25,7 +25,7 @@ from cologic.terms import (
     with_universal_cofacts,
 )
 from cologic.cli import main
-from helpers import alpha_equal_clause, canon_clause, substitute
+from helpers import alpha_equal_clause, canon_clause, reference_rename, substitute
 
 
 def test_fresh_rename_single_variable_forced():
@@ -70,6 +70,61 @@ def test_fresh_rename_preserves_skeleton_and_is_injective(t1, t2):
     assert alpha_equal_clause(clause, renamed)
     # injective on variables: same number of distinct variables
     assert len(term_vars(renamed)) == len(term_vars(clause))
+
+
+def _is_ground(t) -> bool:
+    return not term_vars(t)
+
+
+@given(terms, terms, terms)
+def test_fresh_rename_equals_the_recursive_reference(t1, t2, t3):
+    clause = Clause(
+        Atom("p", (t1, t2)),
+        (Atom("q", (t2, Compound("g", (t3, Int(0))))), Atom("r", (t3,)), Atom("s", (t1, t3))),
+    )
+    source, reference_source = VarSource(100), VarSource(100)
+    renamed = fresh_rename(clause, source)
+    assert renamed == reference_rename(clause, reference_source)  # variable ids included
+    assert source.next_id == reference_source.next_id
+    # Every ground subterm comes back as the same object.
+    pairs = [(a, b) for x, y in zip((clause.head, *clause.body), (renamed.head, *renamed.body))
+             for a, b in zip(x.args, y.args)]
+    while pairs:
+        original, copy = pairs.pop()
+        if _is_ground(original):
+            assert copy is original
+        elif isinstance(original, Compound):
+            pairs.extend(zip(original.args, copy.args))
+
+
+def test_fresh_rename_shares_ground_parts():
+    clause = parse_program("p(f(a, 1), X) :- q(g(b), [X|T]), r(1).").clauses[0]
+    source = VarSource(40)
+    renamed = fresh_rename(clause, source)
+    assert renamed == reference_rename(clause, VarSource(40))
+    assert renamed.head.args[0] is clause.head.args[0]
+    assert renamed.body[0].args[0] is clause.body[0].args[0]
+    assert renamed.body[1] is clause.body[1]  # a ground atom
+    assert source.next_id == 42
+    fact = parse_program("big([1, 2, 3], f(a)).").clauses[0]
+    assert fresh_rename(fact, source) is fact
+    assert source.next_id == 42
+
+
+def test_fresh_rename_at_any_depth():
+    # Built and instantiated with explicit stacks: 10,000 levels need no recursion.
+    depth = 10_000
+    term = Var(0)
+    for _ in range(depth):
+        term = Compound("f", (term,))
+    clause = Clause(Atom("p", (term, Var(1))), (Atom("q", (Var(0),)),))
+    renamed = fresh_rename(clause, VarSource(5))
+    node = renamed.head.args[0]
+    for _ in range(depth):
+        assert node.functor == "f"
+        (node,) = node.args
+    assert node == Var(5)
+    assert renamed.head.args[1] == Var(6) and renamed.body[0].args == (Var(5),)
 
 
 def test_fresh_rename_disjoint_across_uses():
