@@ -127,7 +127,7 @@ class Answer:
 
 
 def is_builtin(atom: Atom) -> bool:
-    return (atom.predicate, atom.arity) in BUILTIN_SIGNATURES
+    return (atom.predicate, len(atom.args)) in BUILTIN_SIGNATURES
 
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
@@ -196,11 +196,11 @@ def lookup_key(atom: Atom, resolve: Callable[[Term], Term]) -> tuple:
     todo = list(reversed(atom.args))
     while todo and len(key) < 2 + _KEY_SYMBOLS:
         t = todo.pop()
-        if isinstance(t, Var):
+        if t.__class__ is Var:
             t = resolve(t)
-            if isinstance(t, Var):
+            if t.__class__ is Var:
                 break
-        if isinstance(t, Int):
+        if t.__class__ is Int:
             key.append(t.value)
         else:
             key.append((t.functor, len(t.args)))
@@ -495,17 +495,17 @@ def _closed_reach(term: Term, store: BindStore, mapping: dict[int, Term]) -> lis
     todo = [term]
     while todo:
         t = todo.pop()
-        if isinstance(t, Var):
+        if t.__class__ is Var:
             rep = store.find(t.id)
             if rep in seen:
                 continue
             seen.add(rep)
             t = store.resolve(t)
-            if isinstance(t, Var):
+            if t.__class__ is Var:
                 return None
             if rep not in mapping:
                 reached.append(rep)
-        if isinstance(t, Compound):
+        if t.__class__ is Compound:
             todo.extend(reversed(t.args))
     return reached
 

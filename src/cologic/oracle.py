@@ -51,13 +51,18 @@ class GroundUniverse:
     """The finite set of constants that ground instantiation draws from.
 
     Also holds each clause's ground instances once they are built, so every
-    semantics computed over one universe instantiates a clause only once.
-    They depend only on the clause and the constants, so threads that build
-    them concurrently build equal sets.
+    semantics computed over one universe instantiates a clause only once,
+    and the least model of each clause sequence once it is computed, so
+    the bound of :func:`generated_semantics` reuses an :func:`ind_semantics`
+    already taken. Both depend only on the clauses and the constants, so
+    threads that build them concurrently build equal values.
     """
 
     constants: tuple[Term, ...]
     _instances: dict[Clause, frozenset[Clause]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+    _least: dict[tuple[Clause, ...], frozenset[Atom]] = field(
         default_factory=dict, compare=False, repr=False
     )
 
@@ -199,9 +204,16 @@ def _fixpoint(step, current: frozenset[Atom]) -> frozenset[Atom]:
 
 
 def ind_semantics(clauses: Sequence[Clause], universe: GroundUniverse) -> frozenset[Atom]:
-    """Least model: iterate the one-step operator up from the empty set."""
+    """Least model: iterate the one-step operator up from the empty set.
+
+    Computed once per clause sequence and universe, and kept on the universe.
+    """
     ground = ground_instances(clauses, universe)
-    return _fixpoint(lambda interp: op_step(ground, interp), frozenset())
+    key = tuple(clauses)
+    least = universe._least.get(key)
+    if least is None:
+        least = universe._least[key] = _fixpoint(lambda interp: op_step(ground, interp), frozenset())
+    return least
 
 
 def coind_semantics(clauses: Sequence[Clause], universe: GroundUniverse) -> frozenset[Atom]:

@@ -10,11 +10,22 @@ only on its owner, so threads that build one concurrently build equal ones.
 
 Lists are sugar: ``[]`` is the constant ``Compound("[]")`` and ``[H|T]`` is
 ``Compound(".", (H, T))``. The parser desugars and the renderer resugars.
+
+``Var``, ``Int``, ``Compound``, ``Atom`` and ``Clause`` are hand-written
+``__slots__`` classes, because every resolution step builds and reads
+them: they have no ``__dict__``, and a constructor writes its slots
+through their member descriptors. They behave as frozen dataclasses:
+assignment raises :class:`dataclasses.FrozenInstanceError`, equality holds
+within one class only, the ``repr`` is the dataclass one, and the hash is
+that of the field tuple. ``Compound``, ``Atom`` and ``Clause`` keep their
+hash in a slot once computed. ``Compound`` equality and the first hash of
+a compound keep their own stacks, so any nesting depth works; ``repr`` and
+``str`` still recurse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence, Union
 
@@ -41,32 +52,117 @@ BUILTIN_SIGNATURES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Var:
+class _Record:
+    """Base of the slotted term classes: immutable records with dataclass-style repr.
+
+    Each subclass lists its fields in ``_fields`` and sets them once, in
+    ``__init__``, through the member descriptors of its slots; assignment
+    and deletion afterwards raise :class:`dataclasses.FrozenInstanceError`.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple([getattr(self, name) for name in self._fields])
+
+
+class Var(_Record):
     """A variable, identified by an integer assigned at parse/rename time.
 
     Source names live in a side table (``Program.var_names`` or
     ``Query.var_names``), not on the variable itself.
     """
 
+    __slots__ = ("id",)
+    _fields = ("id",)
     id: int
+
+    def __init__(self, id: int) -> None:
+        _set_var_id(self, id)
+
+    def __eq__(self, other):
+        if other.__class__ is Var:
+            return self.id == other.id
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.id,))
 
     def __str__(self) -> str:
         return f"_G{self.id}"
 
 
-@dataclass(frozen=True)
-class Int:
+class Int(_Record):
+    __slots__ = ("value",)
+    _fields = ("value",)
     value: int
+
+    def __init__(self, value: int) -> None:
+        _set_int_value(self, value)
+
+    def __eq__(self, other):
+        if other.__class__ is Int:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
 
     def __str__(self) -> str:
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class Compound:
+class Compound(_Record):
+    """``functor(args...)``; a constant has no arguments.
+
+    Equality and the first hash walk the term with their own stacks, so
+    neither is limited by term depth. The hash is ``hash((functor, args))``
+    and is kept in a slot once computed.
+    """
+
+    __slots__ = ("functor", "args", "_hash")
+    _fields = ("functor", "args")
     functor: str
-    args: tuple[Term, ...] = ()
+    args: tuple[Term, ...]
+
+    def __init__(self, functor: str, args: tuple[Term, ...] = ()) -> None:
+        _set_functor(self, functor)
+        _set_compound_args(self, args)
+        _set_compound_hash(self, None)
+
+    def __eq__(self, other):
+        if other.__class__ is not Compound:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            s, t = todo.pop()
+            if s is t:
+                continue
+            if s.functor != t.functor or len(s.args) != len(t.args):
+                return False
+            for a, b in zip(s.args, t.args):
+                if a.__class__ is Compound and b.__class__ is Compound:
+                    todo.append((a, b))
+                elif a != b:
+                    return False
+        return True
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = _fill_hashes(self)
+        return h
 
     def __str__(self) -> str:
         return render_term(self)
@@ -74,11 +170,52 @@ class Compound:
 
 Term = Union[Var, Int, Compound]
 
+_set_var_id = Var.id.__set__
+_set_int_value = Int.value.__set__
+_set_functor = Compound.functor.__set__
+_set_compound_args = Compound.args.__set__
+_set_compound_hash = Compound._hash.__set__
 
-@dataclass(frozen=True)
-class Atom:
+
+def _fill_hashes(root: Compound) -> int:
+    """Cache the hash of ``root`` and of every compound below it lacking one, in postorder."""
+    todo = [root]
+    while todo:
+        t = todo[-1]
+        missing = False
+        for a in t.args:
+            if a.__class__ is Compound and a._hash is None:
+                todo.append(a)
+                missing = True
+        if not missing:
+            todo.pop()
+            # Every compound argument now has its hash, so this does not recurse.
+            _set_compound_hash(t, hash((t.functor, t.args)))
+    return root._hash
+
+
+class Atom(_Record):
+    __slots__ = ("predicate", "args", "_hash")
+    _fields = ("predicate", "args")
     predicate: str
-    args: tuple[Term, ...] = ()
+    args: tuple[Term, ...]
+
+    def __init__(self, predicate: str, args: tuple[Term, ...] = ()) -> None:
+        _set_predicate(self, predicate)
+        _set_atom_args(self, args)
+        _set_atom_hash(self, None)
+
+    def __eq__(self, other):
+        if other.__class__ is Atom:
+            return self.predicate == other.predicate and self.args == other.args
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.predicate, self.args))
+            _set_atom_hash(self, h)
+        return h
 
     @property
     def arity(self) -> int:
@@ -88,24 +225,52 @@ class Atom:
         return render_atom(self)
 
 
-@dataclass(frozen=True)
-class Clause:
-    """``head :- body``; an empty body makes this a fact."""
+_set_predicate = Atom.predicate.__set__
+_set_atom_args = Atom.args.__set__
+_set_atom_hash = Atom._hash.__set__
 
+
+class Clause(_Record):
+    """``head :- body``; an empty body makes this a fact.
+
+    ``_template`` holds what :func:`fresh_rename` instantiates; it is left
+    unset until the clause's first renaming.
+    """
+
+    __slots__ = ("head", "body", "_hash", "_template")
+    _fields = ("head", "body")
     head: Atom
-    body: tuple[Atom, ...] = ()
+    body: tuple[Atom, ...]
+
+    def __init__(self, head: Atom, body: tuple[Atom, ...] = ()) -> None:
+        _set_head(self, head)
+        _set_body(self, body)
+        _set_clause_hash(self, None)
+
+    def __eq__(self, other):
+        if other.__class__ is Clause:
+            return self.head == other.head and self.body == other.body
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.head, self.body))
+            _set_clause_hash(self, h)
+        return h
 
     @property
     def is_fact(self) -> bool:
         return not self.body
 
-    @cached_property
-    def _template(self) -> tuple | None:
-        """What :func:`fresh_rename` instantiates, built on first use; None for a ground clause."""
-        return _compile_clause(self)
-
     def __str__(self) -> str:
         return render_clause(self)
+
+
+_set_head = Clause.head.__set__
+_set_body = Clause.body.__set__
+_set_clause_hash = Clause._hash.__set__
+_set_template = Clause._template.__set__
 
 
 @dataclass(frozen=True)
@@ -160,9 +325,9 @@ class Program:
 
 def _principal(t: Term):
     """A term's principal symbol: ``(functor, arity)``, an integer, or None for a variable."""
-    if isinstance(t, Compound):
+    if t.__class__ is Compound:
         return (t.functor, len(t.args))
-    if isinstance(t, Int):
+    if t.__class__ is Int:
         return t.value
     return None
 
@@ -288,7 +453,11 @@ def fresh_rename(clause: Clause, source: VarSource) -> Clause:
     clause is returned itself. The clause's template (see
     :func:`_compile_clause`) is built on its first renaming and then kept.
     """
-    template = clause._template
+    try:
+        template = clause._template
+    except AttributeError:
+        template = _compile_clause(clause)
+        _set_template(clause, template)
     if template is None:
         return clause
     n, head, body = template
@@ -390,16 +559,15 @@ def term_vars(x) -> set[int]:
     stack = [x]
     while stack:
         t = stack.pop()
-        if isinstance(t, Var):
+        cls = t.__class__
+        if cls is Var:
             out.add(t.id)
-        elif isinstance(t, Compound):
+        elif cls is Compound or cls is Atom:
             stack.extend(t.args)
-        elif isinstance(t, Atom):
-            stack.extend(t.args)
-        elif isinstance(t, Clause):
+        elif cls is Clause:
             stack.append(t.head)
             stack.extend(t.body)
-        elif isinstance(t, Goal):
+        elif cls is Goal:
             stack.extend(t.atoms)
     return out
 

@@ -6,6 +6,13 @@ chronological trail so choice points roll back exactly. Unification is
 occurs-check free: ``X = f(X)`` succeeds, binding ``X`` to the rational
 tree ``f(f(...))``. An in-progress pair memo makes unification and
 equality checks terminate on cyclic structure.
+
+Unification runs once per head and per lookup trial, so it takes fast
+paths: it dispatches on a term's exact class, dereferences only
+variables, stops on identical nodes before comparing functors, writes the
+store's tables directly, and builds its pair memo only once it takes
+apart a pair of compounds with arguments. :func:`unify_atoms` solves all
+argument pairs on one stack.
 """
 
 from __future__ import annotations
@@ -60,67 +67,82 @@ class BindStore:
         """One-level dereference: the binding of ``t``'s class, or its representative.
 
         Never recurses into the result, so it cannot loop on cyclic
-        bindings; callers peel the structure lazily.
+        bindings; callers peel the structure lazily. A non-variable is
+        returned at once.
         """
-        if isinstance(t, Var):
-            rep = self.find(t.id)
-            bound = self._bindings.get(rep)
-            if bound is not None:
-                return bound
-            # An unbound representative is returned as is: building a new
-            # Var would cost more than the rest of the call.
-            return t if rep == t.id else Var(rep)
-        return t
+        if t.__class__ is not Var:
+            return t
+        vid = t.id
+        parent = self._parent
+        while vid in parent:
+            vid = parent[vid]
+        bound = self._bindings.get(vid)
+        if bound is not None:
+            return bound
+        # An unbound representative is returned as is: building a new
+        # Var would cost more than the rest of the call.
+        return t if vid == t.id else Var(vid)
 
     def is_unbound(self, var_id: int) -> bool:
         return self.find(var_id) not in self._bindings
 
-    # Internal mutators: only ever add entries, so undo is deletion.
-    def _union(self, rep_a: int, rep_b: int) -> None:
-        self._parent[rep_a] = rep_b
-        self._trail.append(("p", rep_a))
 
-    def _bind(self, rep: int, term: Term) -> None:
-        self._bindings[rep] = term
-        self._trail.append(("b", rep))
+def _unify_inplace(stack: list[tuple[Term, Term]], store: BindStore) -> bool:
+    """Extend the store to solve every pair on ``stack``; no cleanup on clash (caller rolls back).
 
-
-def _unify_inplace(s: Term, t: Term, store: BindStore) -> bool:
-    """Extend the store to solve ``s = t``; no cleanup on clash (caller rolls back)."""
-    stack = [(s, t)]
-    seen: set[tuple[int, int]] = set()
+    Pairs are solved from the top of the stack down, each one depth-first.
+    Dispatch is on the exact class. Identical nodes stop at once, before
+    any functor is compared, and the visited-pair set is only built when
+    a pair of compounds with arguments is first taken apart.
+    """
+    resolve = store.resolve
+    parent, bindings, trail = store._parent, store._bindings, store._trail
+    seen: set[tuple[int, int]] | None = None
     while stack:
         s, t = stack.pop()
-        s = store.resolve(s)
-        t = store.resolve(t)
-        if isinstance(s, Var):
-            if isinstance(t, Var):
-                if s.id != t.id:
-                    store._union(s.id, t.id)
-            else:
-                store._bind(s.id, t)
-            continue
-        if isinstance(t, Var):
-            store._bind(t.id, s)
-            continue
-        if isinstance(s, Int) or isinstance(t, Int):
-            if isinstance(s, Int) and isinstance(t, Int) and s.value == t.value:
-                continue
-            return False
-        if s.functor != t.functor or len(s.args) != len(t.args):
-            return False
+        if s.__class__ is Var:
+            s = resolve(s)
+        if t.__class__ is Var:
+            t = resolve(t)
         if s is t:
             continue
+        # The store only ever gains entries here, each recorded on the
+        # trail, so undo is deletion (BindStore.rollback).
+        if s.__class__ is Var:
+            if t.__class__ is Var:
+                if s.id != t.id:
+                    parent[s.id] = t.id
+                    trail.append(("p", s.id))
+            else:
+                bindings[s.id] = t
+                trail.append(("b", s.id))
+            continue
+        if t.__class__ is Var:
+            bindings[t.id] = s
+            trail.append(("b", t.id))
+            continue
+        if s.__class__ is Int or t.__class__ is Int:
+            if s.__class__ is t.__class__ and s.value == t.value:
+                continue
+            return False
+        args = s.args
+        if s.functor != t.functor or len(args) != len(t.args):
+            return False
+        if not args:
+            continue
         key = (id(s), id(t))
-        if key in seen:
+        if seen is None:
+            seen = {key}
+        elif key in seen:
             # Already unifying this pair of graph nodes further up the
             # stack; assuming success here is what makes cyclic bindings
             # terminate (any genuine mismatch surfaces at finite depth).
             continue
-        seen.add(key)
+        else:
+            seen.add(key)
         # Reversed, so the first argument pops first: a clash in a list's
         # head is found before its whole tail is walked.
-        stack.extend(zip(reversed(s.args), reversed(t.args)))
+        stack.extend(zip(reversed(args), reversed(t.args)))
     return True
 
 
@@ -132,7 +154,7 @@ def unify(s: Term, t: Term, store: BindStore) -> bool:
     integers) the store is rolled back to its state at entry.
     """
     start = store.mark()
-    if _unify_inplace(s, t, store):
+    if _unify_inplace([(s, t)], store):
         return True
     store.rollback(start)
     return False
@@ -146,11 +168,10 @@ def unify_atoms(a: Atom, b: Atom, store: BindStore) -> bool:
     if a.predicate != b.predicate or len(a.args) != len(b.args):
         return False
     start = store.mark()
-    for s, t in zip(a.args, b.args):
-        if not _unify_inplace(s, t, store):
-            store.rollback(start)
-            return False
-    return True
+    if _unify_inplace(list(zip(reversed(a.args), reversed(b.args))), store):
+        return True
+    store.rollback(start)
+    return False
 
 
 def rational_equal(s: Term, t: Term, store: BindStore) -> bool:

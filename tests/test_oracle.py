@@ -114,6 +114,33 @@ def test_one_report_instantiates_each_clause_once(monkeypatch):
         assert seen == Counter(set(program.extended()))
 
 
+def test_one_report_runs_the_least_model_once(monkeypatch):
+    # op_step gets the ground instances of the clauses it iterates over, so
+    # the calls on those of P plus its co-facts are the Ind(P⊔C) iterations.
+    calls: Counter = Counter()
+
+    def counting_op_step(ground, interp):
+        calls[ground] += 1
+        return op_step(ground, interp)
+
+    programs = [parse_program(PQ_EXAMPLE), *corpus(seed=28, count=20)]
+    checked = 0
+    for program in programs:
+        extended = ground_instances(program.extended(), universe_for(program))
+        if extended == ground_instances(program.clauses, universe_for(program)):
+            continue  # then CoInd(P) and Gen(P,C) iterate over the same instances
+        monkeypatch.setattr(oracle, "op_step", counting_op_step)
+        calls.clear()
+        ind_semantics(program.extended(), universe_for(program))
+        once = calls[extended]
+        calls.clear()
+        oracle_report(program)
+        assert calls[extended] == once > 0
+        monkeypatch.undo()
+        checked += 1
+    assert checked >= 2
+
+
 def _instances_by_substitution(clauses, constants) -> frozenset[Clause]:
     """Ground instances by substituting every combination into every clause."""
     out = set()

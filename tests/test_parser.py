@@ -221,7 +221,7 @@ def _query_arg(text: str):
 
 def test_deep_nesting_parses():
     assert sys.getrecursionlimit() < DEPTH
-    # Walked in loops: == and repr on these terms would recurse themselves.
+    # Walked in loops: repr on these terms would recurse itself.
     term = _query_arg("f(" * DEPTH + "a" + ")" * DEPTH)
     for _ in range(DEPTH):
         assert term.functor == "f" and len(term.args) == 1

@@ -1,6 +1,9 @@
-"""Term layer: renaming, variable collection, substitution, rendering."""
+"""Term layer: the term classes, renaming, variable collection, substitution, rendering."""
 
 from __future__ import annotations
+
+import sys
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given
@@ -15,8 +18,10 @@ from cologic import (
     Var,
     list_term,
     parse_program,
+    parse_query,
     render_term,
 )
+from cologic import terms as term_module
 from cologic.terms import (
     VarSource,
     fresh_rename,
@@ -201,3 +206,98 @@ def test_canon_clause_is_order_sensitive():
     assert canon_clause(c1) == canon_clause(c2)  # both are p(v0, v1)
     c3 = parse_program("p(X, X).").clauses[0]
     assert canon_clause(c1) != canon_clause(c3)
+
+
+def test_term_reprs_are_pinned():
+    x, one = Var(0), Int(1)
+    a = Compound("a")
+    p = Atom("p", (x, Compound("f", (one, a))))
+    assert repr(x) == "Var(id=0)"
+    assert repr(one) == "Int(value=1)"
+    assert repr(a) == "Compound(functor='a', args=())"
+    assert repr(p) == (
+        "Atom(predicate='p', args=(Var(id=0),"
+        " Compound(functor='f', args=(Int(value=1), Compound(functor='a', args=())))))"
+    )
+    assert repr(Clause(p, (Atom("q"),))) == (
+        f"Clause(head={p!r}, body=(Atom(predicate='q', args=()),))"
+    )
+
+
+def test_term_hashes_are_field_tuple_hashes():
+    args = (Var(0), Int(-3), Compound("a"))
+    atom = Atom("p", args)
+    body = (Atom("q", (Var(0),)),)
+    assert hash(Var(7)) == hash((7,))
+    assert hash(Int(7)) == hash((7,))
+    assert hash(Compound("f", args)) == hash(("f", args))
+    assert hash(atom) == hash(("p", args))
+    assert hash(Clause(atom, body)) == hash((atom, body))
+    # A cached hash is returned again.
+    t = Compound("f", args)
+    assert hash(t) == hash(t) == hash(("f", args))
+
+
+def test_terms_equal_within_their_class_only():
+    assert Var(1) == Var(1) and Int(1) == Int(1)
+    assert Var(1) != Int(1) and Int(1) != Var(1)
+    assert Compound("f", (Var(1),)) != Compound("f", (Int(1),))
+    assert Atom("f", (Int(1),)) != Compound("f", (Int(1),))
+    assert Compound("f", (Int(1),)) != Compound("f", (Int(1), Int(1)))
+    assert Compound("f") != Compound("g")
+    assert Clause(Atom("p")) == Clause(Atom("p"), ())
+    assert Clause(Atom("p")) != Clause(Atom("p"), (Atom("q"),))
+
+
+@pytest.mark.parametrize(
+    "term, name",
+    [
+        (Var(0), "id"),
+        (Int(0), "value"),
+        (Compound("f", (Int(0),)), "args"),
+        (Atom("p"), "predicate"),
+        (Clause(Atom("p")), "body"),
+    ],
+)
+def test_terms_are_frozen(term, name):
+    with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+        setattr(term, name, ())
+    with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+        delattr(term, name)
+    with pytest.raises(FrozenInstanceError):
+        term.extra = 1
+    assert not hasattr(term, "__dict__")
+
+
+def test_clause_template_is_built_once(monkeypatch):
+    built = []
+
+    def counting_compile(clause):
+        built.append(clause)
+        return compile_clause(clause)
+
+    compile_clause = term_module._compile_clause
+    monkeypatch.setattr(term_module, "_compile_clause", counting_compile)
+    clause = parse_program("p(X, f(Y)) :- q(Y).").clauses[0]
+    source = VarSource(10)
+    fresh_rename(clause, source)
+    template = clause._template
+    second = fresh_rename(clause, source)
+    assert clause._template is template
+    assert built == [clause]
+    assert term_vars(second) == {12, 13}
+
+
+def test_deep_terms_compare_and_hash():
+    # Deeper than the recursion limit: equality and the first hash keep their own stacks.
+    depth = 10_000
+    assert sys.getrecursionlimit() < depth
+    text = "?- X = " + "f(" * depth + "a" + ")" * depth + "."
+    one, two = (parse_query(text).goal.atoms[0] for _ in range(2))
+    assert one.args[1] is not two.args[1]
+    assert one == two
+    assert hash(one) == hash(two)
+    assert hash(one.args[1]) == hash(("f", one.args[1].args))
+    other = parse_query(text.replace("a", "b")).goal.atoms[0]
+    assert one != other
+    assert len({one, two, other}) == 2
