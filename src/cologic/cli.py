@@ -75,8 +75,12 @@ def _report(exc: Exception) -> None:
 
 
 def _load_program(path: str) -> Program:
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise CologicError(
+            f"cologic: {path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return parse_program(text, origin=path)
 
 

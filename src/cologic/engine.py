@@ -1,14 +1,15 @@
 """Co-SLD resolution where revisited goals must pass a bounded finiteness check.
 
 ``solve`` enumerates answers depth-first, leftmost atom first, clauses in
-program order. One loop, :meth:`Resolution._run`, serves both strata. It
-keeps a goal list, linked as ``(atom, context, rest)``, and a stack of
-choice points that each hold a trail mark (as in the WAM: Ait-Kaci 1991,
-*Warren's Abstract Machine: A Tutorial Reconstruction*). Each step
-selects the first goal and charges the step budget. Builtins (``=``,
-comparisons, ``is`` arithmetic, ...) are evaluated at one site and never
-enter the hypothesis set or the revisit counts. For any other atom, the
-goal's context picks the stratum:
+program order. It is the only entry point: it picks the mode's program and
+first context, then runs one loop, :func:`_run`, that serves both strata.
+The loop keeps a goal list, linked as ``(atom, context, rest)``, and a
+stack of choice points that each hold a trail mark (as in the WAM:
+Ait-Kaci 1991, *Warren's Abstract Machine: A Tutorial Reconstruction*).
+Each step selects the first goal and charges the step budget. Builtins
+(``=``, comparisons, ``is`` arithmetic, ...) are evaluated at one site and
+never enter the hypothesis set or the revisit counts. For any other atom,
+the goal's context picks the stratum:
 
 * Hypothesis stratum (context: a :class:`KeyedHyps` chain, ``None`` when
   empty): the atoms selected along the current branch are carried as
@@ -258,7 +259,7 @@ class LfpCounts:
 
     Entries are ``(snapshot, key, count)``: a snapshot of a goal atom
     (closed arguments shared, the others copied with fresh variables, so
-    later search cannot disturb it; see :meth:`Resolution._snapshot_atom`)
+    later search cannot disturb it; see :func:`_snapshot_atom`)
     and the :func:`lookup_key` it was inserted with. Lookup is trial
     unification against the first entry whose key fits the goal's, rolled
     back.
@@ -299,189 +300,150 @@ def _goal_list(atoms: Sequence[Atom], context, rest: _Goals) -> _Goals:
     return rest
 
 
-class Resolution:
-    """Depth-first search state for one query over a fixed program.
+def _run(
+    program: Program, config: EngineConfig, store: BindStore, source: VarSource, goals: _Goals
+) -> Iterator[None]:
+    """Depth-first search over a goal list; yields once per solution.
 
-    Holds the binding store, the fresh-variable supply, and the remaining
-    step budget. Not shareable across threads; build one per query.
+    Each goal carries its stratum's context: a :class:`KeyedHyps` chain
+    (``None`` when empty), or the :class:`LfpCounts` of a bounded
+    proof. A choice point holds the trail mark, the atom, the goals
+    after it, the context of the clause bodies it will push, and its
+    untried alternatives: hypothesis hits (atoms) and clauses of
+    ``program``, the mode's program, whose co-facts bounded proofs use as
+    facts except in ``inductive`` mode. Clauses are renamed with
+    variables from ``source``. The store holds a solution's bindings at
+    each yield; exhausting the search rolls it back to where it started.
     """
-
-    def __init__(
-        self,
-        program: Program,
-        config: EngineConfig | None = None,
-        store: BindStore | None = None,
-        var_source: VarSource | None = None,
-    ):
-        self.config = config or EngineConfig()
-        if self.config.mode == "coinductive":
-            program = program.universal
-        self.program = program
-        self.store = store if store is not None else BindStore()
-        self.vars = var_source or VarSource(program.index.max_var_id + 1)
-        self._lfp_extended = self.config.mode != "inductive"
-        self._steps_left = self.config.step_budget
-
-    def _tick(self) -> None:
-        if self._steps_left is None:
-            return
-        if self._steps_left == 0:
-            raise ResourceLimitError(
-                f"step budget of {self.config.step_budget} exhausted"
-            )
-        self._steps_left -= 1
-
-    def solve_co(self, atoms: tuple[Atom, ...], hyps: tuple[Atom, ...] = ()) -> Iterator[None]:
-        """Resolve a goal under coinductive hypotheses; yields once per solution.
-
-        ``hyps`` is given oldest first and keyed on entry. The store holds
-        the solution's bindings at each yield; resuming the iterator
-        backtracks.
-        """
-        context = None
-        for h in hyps:
-            context = KeyedHyps(h, lookup_key(h, self.store.resolve), context)
-        return self._run(_goal_list(atoms, context, None))
-
-    def solve_lfp(self, atoms: tuple[Atom, ...], counts: LfpCounts) -> Iterator[None]:
-        """Standard SLD over clauses + co-facts-as-facts, bounded by revisit counts."""
-        return self._run(_goal_list(atoms, counts, None))
-
-    def _run(self, goals: _Goals) -> Iterator[None]:
-        """Depth-first search over a goal list; yields once per solution.
-
-        Each goal carries its stratum's context: a :class:`KeyedHyps` chain
-        (``None`` when empty), or the :class:`LfpCounts` of a bounded
-        proof. A choice point holds the trail mark, the atom, the goals
-        after it, the context of the clause bodies it will push, and its
-        untried alternatives: hypothesis hits (atoms) and clauses.
-        Exhausting the search rolls the store back to where it started.
-        """
-        store, index = self.store, self.program.index
-        resolve = store.resolve
-        base = store.mark()
-        choices: list[tuple[int, Atom, _Goals, object, Iterator]] = []
-        while True:
-            if goals is None:
-                yield
-            else:
-                atom, context, rest = goals
-                self._tick()
-                if is_builtin(atom):
-                    if eval_builtin(atom, store):
-                        goals = rest
-                        continue
-                elif isinstance(context, LfpCounts):
-                    # One key per step serves both the lookup and the entry it adds.
-                    key = lookup_key(atom, resolve)
-                    found = context.lookup(atom, store, key)
-                    # At the revisit limit the atom fails outright, alternatives included.
-                    if found is None or context.entries[found][2] < self.config.lfp_revisit_limit:
-                        if found is None:
-                            counts = context.inserted(self._snapshot_atom(atom), key)
-                        else:
-                            counts = context.incremented(found)
-                        clauses = index.candidates(atom, self._lfp_extended, resolve)
-                        choices.append((store.mark(), atom, rest, counts, iter(clauses)))
-                else:
-                    key = lookup_key(atom, resolve)
-                    hits = hyp_lookup(atom, context, store, key)
-                    if hits and self.config.hyp_cut:
-                        clauses = ()
-                    else:
-                        clauses = index.candidates(atom, False, resolve)
-                    pushed = KeyedHyps(atom, key, context)
-                    choices.append((store.mark(), atom, rest, pushed, chain(hits, clauses)))
-            # Backtrack to the newest choice point with an alternative that applies.
-            while True:
-                if not choices:
-                    store.rollback(base)
-                    return
-                mark, atom, rest, body_context, alternatives = choices[-1]
-                alternative = next(alternatives, None)
-                if alternative is None:
-                    choices.pop()
+    index, resolve = program.index, store.resolve
+    steps_left, revisit_limit = config.step_budget, config.lfp_revisit_limit
+    hyp_cut, lfp_extended = config.hyp_cut, config.mode != "inductive"
+    base = store.mark()
+    choices: list[tuple[int, Atom, _Goals, object, Iterator]] = []
+    while True:
+        if goals is None:
+            yield
+        else:
+            atom, context, rest = goals
+            if steps_left is not None:
+                if steps_left == 0:
+                    raise ResourceLimitError(f"step budget of {config.step_budget} exhausted")
+                steps_left -= 1
+            if is_builtin(atom):
+                if eval_builtin(atom, store):
+                    goals = rest
                     continue
-                store.rollback(mark)
-                if isinstance(alternative, Atom):
-                    # Revisited goal: demand a bounded standard proof in the
-                    # co-fact-enriched program, under the hypothesis bindings.
-                    if unify_atoms(atom, alternative, store):
-                        goals = (atom, LfpCounts(), rest)
-                        break
-                else:
-                    renamed = fresh_rename(alternative, self.vars)
-                    if unify_atoms(atom, renamed.head, store):
-                        # Siblings keep their own context; only the body sees this one.
-                        goals = _goal_list(renamed.body, body_context, rest)
-                        break
-
-    def _snapshot_atom(self, atom: Atom) -> Atom:
-        """Copy an atom under its current bindings, with fresh variables.
-
-        An argument whose bindings reach no unbound variable (closed) is
-        kept as is: its bindings are older than the choice point that will
-        hold the snapshot, so any backtrack that undoes them drops the
-        snapshot too, and a revisit trial on it stops at once on
-        ``_unify_inplace``'s ``s is t`` test. Other arguments are copied.
-        Cyclic bindings are reproduced through the store (the fresh
-        variables are bound below any later choice point, so the copy
-        survives exactly as long as the counts that hold it). The walk keeps
-        its own stack: fresh variables are taken in preorder, and each is
-        bound once its binding's skeleton has been copied. Every class
-        reached, in a closed argument too, takes one fresh variable, so the
-        identifiers taken later do not depend on what is shared.
-        """
-        store, source = self.store, self.vars
-        # class representative -> its copy, or the original variable when closed
-        mapping: dict[int, Term] = {}
-        args = []
-        for arg in atom.args:
-            reached = _closed_reach(arg, store, mapping)
-            if reached is not None:
-                source.take(len(reached))
-                for rep in reached:
-                    mapping[rep] = Var(rep)
-                args.append(arg)
-            else:
-                args.append(self._copy(arg, mapping))
-        return Atom(atom.predicate, tuple(args))
-
-    def _copy(self, term: Term, mapping: dict[int, Term]) -> Term:
-        """Copy one term under the store, extending ``mapping`` (see :meth:`_snapshot_atom`)."""
-        store = self.store
-        done: list[Term] = []  # copied terms, awaiting their parent
-        # ("copy", term) | ("build", compound: pop its copied arguments) | ("bind", fresh var)
-        todo: list[tuple[str, object]] = [("copy", term)]
-        while todo:
-            op, x = todo.pop()
-            if op == "copy":
-                if isinstance(x, Var):
-                    rep = store.find(x.id)
-                    hit = mapping.get(rep)
-                    if hit is not None:
-                        done.append(hit)
-                        continue
-                    fresh = mapping[rep] = self.vars.fresh()
-                    resolved = store.resolve(x)
-                    if isinstance(resolved, Var):
-                        done.append(fresh)
+            elif isinstance(context, LfpCounts):
+                # One key per step serves both the lookup and the entry it adds.
+                key = lookup_key(atom, resolve)
+                found = context.lookup(atom, store, key)
+                # At the revisit limit the atom fails outright, alternatives included.
+                if found is None or context.entries[found][2] < revisit_limit:
+                    if found is None:
+                        counts = context.inserted(_snapshot_atom(atom, store, source), key)
                     else:
-                        todo += (("bind", fresh), ("copy", resolved))
-                elif isinstance(x, Compound) and x.args:
-                    todo.append(("build", x))
-                    todo.extend(("copy", a) for a in reversed(x.args))
-                else:
-                    done.append(x)
-            elif op == "build":
-                n = len(x.args)
-                args = tuple(done[-n:])
-                del done[-n:]
-                done.append(Compound(x.functor, args))
+                        counts = context.incremented(found)
+                    clauses = index.candidates(atom, lfp_extended, resolve)
+                    choices.append((store.mark(), atom, rest, counts, iter(clauses)))
             else:
-                unify(x, done[-1], store)
-                done[-1] = x
-        return done[0]
+                key = lookup_key(atom, resolve)
+                hits = hyp_lookup(atom, context, store, key)
+                if hits and hyp_cut:
+                    clauses = ()
+                else:
+                    clauses = index.candidates(atom, False, resolve)
+                pushed = KeyedHyps(atom, key, context)
+                choices.append((store.mark(), atom, rest, pushed, chain(hits, clauses)))
+        # Backtrack to the newest choice point with an alternative that applies.
+        while True:
+            if not choices:
+                store.rollback(base)
+                return
+            mark, atom, rest, body_context, alternatives = choices[-1]
+            alternative = next(alternatives, None)
+            if alternative is None:
+                choices.pop()
+                continue
+            store.rollback(mark)
+            if isinstance(alternative, Atom):
+                # Revisited goal: demand a bounded standard proof in the
+                # co-fact-enriched program, under the hypothesis bindings.
+                if unify_atoms(atom, alternative, store):
+                    goals = (atom, LfpCounts(), rest)
+                    break
+            else:
+                renamed = fresh_rename(alternative, source)
+                if unify_atoms(atom, renamed.head, store):
+                    # Siblings keep their own context; only the body sees this one.
+                    goals = _goal_list(renamed.body, body_context, rest)
+                    break
+
+
+def _snapshot_atom(atom: Atom, store: BindStore, source: VarSource) -> Atom:
+    """Copy an atom under its current bindings, with fresh variables from ``source``.
+
+    An argument whose bindings reach no unbound variable (closed) is
+    kept as is: its bindings are older than the choice point that will
+    hold the snapshot, so any backtrack that undoes them drops the
+    snapshot too, and a revisit trial on it stops at once on
+    ``_unify_inplace``'s ``s is t`` test. Other arguments are copied.
+    Cyclic bindings are reproduced through the store (the fresh
+    variables are bound below any later choice point, so the copy
+    survives exactly as long as the counts that hold it). The walk keeps
+    its own stack: fresh variables are taken in preorder, and each is
+    bound once its binding's skeleton has been copied. Every class
+    reached, in a closed argument too, takes one fresh variable, so the
+    identifiers taken later do not depend on what is shared.
+    """
+    # class representative -> its copy, or the original variable when closed
+    mapping: dict[int, Term] = {}
+    args = []
+    for arg in atom.args:
+        reached = _closed_reach(arg, store, mapping)
+        if reached is not None:
+            source.take(len(reached))
+            for rep in reached:
+                mapping[rep] = Var(rep)
+            args.append(arg)
+        else:
+            args.append(_copy(arg, mapping, store, source))
+    return Atom(atom.predicate, tuple(args))
+
+
+def _copy(term: Term, mapping: dict[int, Term], store: BindStore, source: VarSource) -> Term:
+    """Copy one term under the store, extending ``mapping`` (see :func:`_snapshot_atom`)."""
+    done: list[Term] = []  # copied terms, awaiting their parent
+    # ("copy", term) | ("build", compound: pop its copied arguments) | ("bind", fresh var)
+    todo: list[tuple[str, object]] = [("copy", term)]
+    while todo:
+        op, x = todo.pop()
+        if op == "copy":
+            if isinstance(x, Var):
+                rep = store.find(x.id)
+                hit = mapping.get(rep)
+                if hit is not None:
+                    done.append(hit)
+                    continue
+                fresh = mapping[rep] = source.fresh()
+                resolved = store.resolve(x)
+                if isinstance(resolved, Var):
+                    done.append(fresh)
+                else:
+                    todo += (("bind", fresh), ("copy", resolved))
+            elif isinstance(x, Compound) and x.args:
+                todo.append(("build", x))
+                todo.extend(("copy", a) for a in reversed(x.args))
+            else:
+                done.append(x)
+        elif op == "build":
+            n = len(x.args)
+            args = tuple(done[-n:])
+            del done[-n:]
+            done.append(Compound(x.functor, args))
+        else:
+            unify(x, done[-1], store)
+            done[-1] = x
+    return done[0]
 
 
 def _closed_reach(term: Term, store: BindStore, mapping: dict[int, Term]) -> list[int] | None:
@@ -525,10 +487,14 @@ def solve(
         goal, var_names = query, {}
     else:
         goal, var_names = query.goal, query.var_names
+    # Taken before the switch to the universal program, whose co-facts
+    # number their variables above the program's own.
     source = VarSource(max(program.index.max_var_id, max_var_id(goal)) + 1)
-    resolution = Resolution(program, config, var_source=source)
-    ordered_vars = [(name, vid) for vid, name in var_names.items()]
+    if config.mode == "coinductive":
+        program = program.universal
     context = LfpCounts() if config.mode == "inductive" else None
-    for _ in resolution._run(_goal_list(goal.atoms, context, None)):
-        equations, names = extract_answer(ordered_vars, resolution.store)
+    store = BindStore()
+    ordered_vars = [(name, vid) for vid, name in var_names.items()]
+    for _ in _run(program, config, store, source, _goal_list(goal.atoms, context, None)):
+        equations, names = extract_answer(ordered_vars, store)
         yield Answer(equations, names)

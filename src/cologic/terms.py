@@ -34,22 +34,12 @@ from .errors import CologicError
 NIL = "[]"
 CONS = "."
 
+# The binary builtins, which the parser reads and the renderer writes infix.
+_INFIX_PREDICATES = ("=", "\\=", "<", ">", ">=", "=<", "=:=", "=\\=", "is")
+
 #: Predicates evaluated directly by the engine rather than by clause search.
 BUILTIN_SIGNATURES = frozenset(
-    {
-        ("=", 2),
-        ("\\=", 2),
-        ("<", 2),
-        (">", 2),
-        (">=", 2),
-        ("=<", 2),
-        ("=:=", 2),
-        ("=\\=", 2),
-        ("is", 2),
-        ("true", 0),
-        ("fail", 0),
-    }
-)
+    [(name, 2) for name in _INFIX_PREDICATES] + [("true", 0), ("fail", 0)])
 
 
 class _Record:
@@ -618,7 +608,6 @@ def list_term(items: Iterable[Term], tail: Term = Compound(NIL)) -> Term:
     return out
 
 
-_INFIX_PREDICATES = ("=", "\\=", "<", ">", ">=", "=<", "=:=", "=\\=", "is")
 _INFIX_FUNCTORS = ("+", "-", "*", "//")
 
 

@@ -4,8 +4,8 @@ A :class:`BindStore` is a union-find over variable identifiers plus a
 binding table from class representatives to non-variable terms, with a
 chronological trail so choice points roll back exactly. Unification is
 occurs-check free: ``X = f(X)`` succeeds, binding ``X`` to the rational
-tree ``f(f(...))``. An in-progress pair memo makes unification and
-equality checks terminate on cyclic structure.
+tree ``f(f(...))``. An in-progress pair memo makes unification terminate
+on cyclic structure.
 
 Unification runs once per head and per lookup trial, so it takes fast
 paths: it dispatches on a term's exact class, dereferences only
@@ -82,9 +82,6 @@ class BindStore:
         # An unbound representative is returned as is: building a new
         # Var would cost more than the rest of the call.
         return t if vid == t.id else Var(vid)
-
-    def is_unbound(self, var_id: int) -> bool:
-        return self.find(var_id) not in self._bindings
 
 
 def _unify_inplace(stack: list[tuple[Term, Term]], store: BindStore) -> bool:
@@ -172,73 +169,6 @@ def unify_atoms(a: Atom, b: Atom, store: BindStore) -> bool:
         return True
     store.rollback(start)
     return False
-
-
-def rational_equal(s: Term, t: Term, store: BindStore) -> bool:
-    """True iff ``s`` and ``t`` denote the same rational tree under the store.
-
-    Bisimulation over the term graph with a visited-pair set; unbound
-    variables are rigid (equal only to their own class). Never binds.
-    """
-    stack = [(s, t)]
-    seen: set[tuple[int, int]] = set()
-    while stack:
-        s, t = stack.pop()
-        s = store.resolve(s)
-        t = store.resolve(t)
-        if isinstance(s, Var) or isinstance(t, Var):
-            if isinstance(s, Var) and isinstance(t, Var) and s.id == t.id:
-                continue
-            return False
-        if isinstance(s, Int) or isinstance(t, Int):
-            if isinstance(s, Int) and isinstance(t, Int) and s.value == t.value:
-                continue
-            return False
-        if s.functor != t.functor or len(s.args) != len(t.args):
-            return False
-        if s is t:
-            continue
-        key = (id(s), id(t))
-        if key in seen:
-            continue
-        seen.add(key)
-        stack.extend(zip(reversed(s.args), reversed(t.args)))
-    return True
-
-
-def variant_equal(s: Term, store_s: BindStore, t: Term, store_t: BindStore) -> bool:
-    """Rational-tree equality across two stores, up to renaming of unbound classes.
-
-    Unbound classes must correspond one-to-one between the sides; bound
-    structure is compared by bisimulation as in :func:`rational_equal`.
-    Useful for comparing answers produced by independent resolutions.
-    """
-    stack = [(s, t)]
-    seen: set[tuple[int, int]] = set()
-    fwd: dict[int, int] = {}
-    bwd: dict[int, int] = {}
-    while stack:
-        s, t = stack.pop()
-        s = store_s.resolve(s)
-        t = store_t.resolve(t)
-        if isinstance(s, Var) or isinstance(t, Var):
-            if not (isinstance(s, Var) and isinstance(t, Var)):
-                return False
-            if fwd.setdefault(s.id, t.id) != t.id or bwd.setdefault(t.id, s.id) != s.id:
-                return False
-            continue
-        if isinstance(s, Int) or isinstance(t, Int):
-            if isinstance(s, Int) and isinstance(t, Int) and s.value == t.value:
-                continue
-            return False
-        if s.functor != t.functor or len(s.args) != len(t.args):
-            return False
-        key = (id(s), id(t))
-        if key in seen:
-            continue
-        seen.add(key)
-        stack.extend(zip(reversed(s.args), reversed(t.args)))
-    return True
 
 
 def extract_answer(

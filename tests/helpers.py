@@ -1,10 +1,13 @@
-"""Shared test utilities: independent oracles and answer comparison.
+"""Shared test utilities: independent oracles, answer comparison, engine runs.
 
 The comparison helpers deliberately avoid the code paths they check:
 alpha-equivalence goes through canonical renumbering (not unification),
-rational-tree equality of answers goes through reconstruction into fresh
-stores plus cross-store bisimulation, and `unfold` gives a bounded
-tree-expansion oracle for cyclic equality.
+rational-tree equality through bisimulation (`rational_equal` in one
+store, `variant_equal` across two, as when answers are rebuilt in fresh
+stores), and `unfold` gives a bounded tree-expansion oracle for cyclic
+equality. `run_goals` runs the
+engine's search loop from a chosen store and context, which `solve`
+never starts from.
 """
 
 from __future__ import annotations
@@ -24,8 +27,10 @@ from cologic import (
     parse_query,
     solve,
 )
-from cologic.terms import VarSource
-from cologic.unify import BindStore, unify, variant_equal
+from cologic import engine
+from cologic.engine import KeyedHyps, LfpCounts, lookup_key
+from cologic.terms import VarSource, max_var_id
+from cologic.unify import BindStore, unify
 
 RUNNING_EXAMPLE = """
 all_pos([]).
@@ -103,6 +108,77 @@ def alpha_equal_program(a: Program, b: Program) -> bool:
     return all(
         alpha_equal_clause(Clause(x), Clause(y)) for x, y in zip(a.cofacts, b.cofacts)
     )
+
+
+def is_unbound(store: BindStore, var_id: int) -> bool:
+    return isinstance(store.resolve(Var(var_id)), Var)
+
+
+def rational_equal(s: Term, t: Term, store: BindStore) -> bool:
+    """True iff ``s`` and ``t`` denote the same rational tree under the store.
+
+    Bisimulation over the term graph with a visited-pair set; unbound
+    variables are rigid (equal only to their own class). Never binds.
+    """
+    stack = [(s, t)]
+    seen: set[tuple[int, int]] = set()
+    while stack:
+        s, t = stack.pop()
+        s = store.resolve(s)
+        t = store.resolve(t)
+        if isinstance(s, Var) or isinstance(t, Var):
+            if isinstance(s, Var) and isinstance(t, Var) and s.id == t.id:
+                continue
+            return False
+        if isinstance(s, Int) or isinstance(t, Int):
+            if isinstance(s, Int) and isinstance(t, Int) and s.value == t.value:
+                continue
+            return False
+        if s.functor != t.functor or len(s.args) != len(t.args):
+            return False
+        if s is t:
+            continue
+        key = (id(s), id(t))
+        if key in seen:
+            continue
+        seen.add(key)
+        stack.extend(zip(reversed(s.args), reversed(t.args)))
+    return True
+
+
+def variant_equal(s: Term, store_s: BindStore, t: Term, store_t: BindStore) -> bool:
+    """Rational-tree equality across two stores, up to renaming of unbound classes.
+
+    Unbound classes must correspond one-to-one between the sides; bound
+    structure is compared by bisimulation as in :func:`rational_equal`.
+    Useful for comparing answers produced by independent resolutions.
+    """
+    stack = [(s, t)]
+    seen: set[tuple[int, int]] = set()
+    fwd: dict[int, int] = {}
+    bwd: dict[int, int] = {}
+    while stack:
+        s, t = stack.pop()
+        s = store_s.resolve(s)
+        t = store_t.resolve(t)
+        if isinstance(s, Var) or isinstance(t, Var):
+            if not (isinstance(s, Var) and isinstance(t, Var)):
+                return False
+            if fwd.setdefault(s.id, t.id) != t.id or bwd.setdefault(t.id, s.id) != s.id:
+                return False
+            continue
+        if isinstance(s, Int) or isinstance(t, Int):
+            if isinstance(s, Int) and isinstance(t, Int) and s.value == t.value:
+                continue
+            return False
+        if s.functor != t.functor or len(s.args) != len(t.args):
+            return False
+        key = (id(s), id(t))
+        if key in seen:
+            continue
+        seen.add(key)
+        stack.extend(zip(reversed(s.args), reversed(t.args)))
+    return True
 
 
 def answer_store(answer: Answer) -> tuple[BindStore, dict[str, Var]]:
@@ -195,3 +271,31 @@ def atom(pred: str, *args) -> Atom:
         else:
             terms.append(a)
     return Atom(pred, tuple(terms))
+
+
+def hyps(atoms, store: BindStore) -> KeyedHyps | None:
+    """A hypothesis context holding ``atoms`` (oldest first), each keyed as a push keys it."""
+    context = None
+    for a in atoms:
+        context = KeyedHyps(a, lookup_key(a, store.resolve), context)
+    return context
+
+
+def run_goals(
+    program: Program,
+    atoms: tuple[Atom, ...],
+    store: BindStore,
+    hypotheses: tuple[Atom, ...] = (),
+    counts: LfpCounts | None = None,
+    config: EngineConfig = EngineConfig(),
+):
+    """Run the engine's search loop over ``atoms`` on ``store``; yields once per solution.
+
+    The goals run in the bounded stratum under ``counts`` when it is given,
+    else in the hypothesis stratum under ``hyps(hypotheses, store)``.
+    ``program`` is used as given, whatever the mode. Fresh variables start
+    above every variable of the program, the goals and the hypotheses.
+    """
+    context = hyps(hypotheses, store) if counts is None else counts
+    source = VarSource(max(program.index.max_var_id, max_var_id(*atoms, *hypotheses)) + 1)
+    return engine._run(program, config, store, source, engine._goal_list(atoms, context, None))

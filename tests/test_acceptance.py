@@ -29,13 +29,7 @@ from cologic import (
 )
 from cologic.oracle import herbrand_base
 from cologic.terms import with_universal_cofacts
-from cologic.unify import (
-    BindStore,
-    extract_answer,
-    rational_equal,
-    unify,
-    variant_equal,
-)
+from cologic.unify import BindStore, extract_answer, unify
 from corpus import corpus, small_hb_corpus
 from helpers import (
     PQ_EXAMPLE,
@@ -43,7 +37,9 @@ from helpers import (
     answers_equivalent_on,
     atom,
     expected_answer,
+    rational_equal,
     succeeds,
+    variant_equal,
 )
 
 CORPUS_SEED = 20250809

@@ -32,6 +32,22 @@ def pq_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def not_utf8_path(tmp_path):
+    path = tmp_path / "bad.colp"
+    path.write_bytes(b"\xff\xfe p(a).\n")
+    return str(path)
+
+
+def _run_cli(*args: str) -> subprocess.CompletedProcess:
+    """Run the command line in a subprocess, so that stderr is what a user would see."""
+    src = str(Path(cologic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "cologic", *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
 def test_format_answer_examples():
     cyclic = Answer(
         equations=[("L", Compound(".", (Int(1), Compound(".", (Int(2), Var(0)))))), ("M", Int(2))],
@@ -125,6 +141,15 @@ def test_missing_file_exit_2(capsys):
     code = main(["/nonexistent/prog.colp", "--query", "?- true."])
     assert code == 2
     assert capsys.readouterr().err
+
+
+def test_not_utf8_file_exit_2_without_traceback(not_utf8_path):
+    run = _run_cli(not_utf8_path, "--query", "?- p(a).")
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert run.stderr.splitlines() == [
+        f"cologic: {not_utf8_path}: not UTF-8 text (invalid start byte at byte 0)"]
+    assert run.stdout == ""
 
 
 def test_instantiation_error_exit_2(running_path, capsys):
@@ -227,6 +252,16 @@ def test_repl_mode_meta_command(running_path, monkeypatch, capsys):
     assert "L = [1|L]" in captured.out  # cofacts run
 
 
+def test_repl_load_not_utf8_file_reported(not_utf8_path, monkeypatch, capsys):
+    lines = [f":load {not_utf8_path}", "?- true.", ":quit"]
+    code, captured = _run_repl(monkeypatch, capsys, lines, [])
+    assert code == 0
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines() == [
+        f"cologic: {not_utf8_path}: not UTF-8 text (invalid start byte at byte 0)"]
+    assert "true." in captured.out  # the session stays open
+
+
 def test_repl_oracle_meta_command(pq_path, monkeypatch, capsys):
     code, captured = _run_repl(monkeypatch, capsys, [":oracle", ":quit"], [pq_path])
     assert "Gen(P,C) = {}" in captured.out
@@ -292,13 +327,7 @@ TOO_DEEP = {
 
 @pytest.mark.parametrize("name", sorted(TOO_DEEP))
 def test_too_deep_input_exit_2_without_traceback(running_path, name):
-    # A subprocess, so that what a user would see on stderr is what is checked.
-    src = str(Path(cologic.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run(
-        [sys.executable, "-m", "cologic", running_path, "--query", TOO_DEEP[name], "--query", "?- true."],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    run = _run_cli(running_path, "--query", TOO_DEEP[name], "--query", "?- true.")
     assert run.returncode == 2
     assert "Traceback" not in run.stderr
     assert run.stderr.splitlines() == ["cologic: term nested too deeply (Python recursion limit reached)"]

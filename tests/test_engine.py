@@ -27,18 +27,23 @@ from cologic import (
     solve,
 )
 from cologic import engine
-from cologic.engine import (
-    KeyedHyps,
-    LfpCounts,
-    Resolution,
-    eval_builtin,
-    hyp_lookup,
-    is_builtin,
-    lookup_key,
-)
+from cologic.engine import LfpCounts, eval_builtin, hyp_lookup, is_builtin, lookup_key
 from cologic.terms import VarSource
-from cologic.unify import BindStore, rational_equal, unify, variant_equal
-from helpers import PQ_EXAMPLE, RUNNING_EXAMPLE, ask, ask_all, atom, succeeds, unfold
+from cologic.unify import BindStore, unify
+from helpers import (
+    PQ_EXAMPLE,
+    RUNNING_EXAMPLE,
+    ask,
+    ask_all,
+    atom,
+    hyps,
+    is_unbound,
+    rational_equal,
+    run_goals,
+    succeeds,
+    unfold,
+    variant_equal,
+)
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +98,7 @@ def test_not_unifiable_trial_is_rolled_back():
     store = BindStore()
     x = Var(0)
     assert not eval_builtin(Atom("\\=", (x, Int(1))), store)  # they unify
-    assert store.is_unbound(x.id)
+    assert is_unbound(store, x.id)
     assert eval_builtin(Atom("\\=", (Int(1), Int(2))), store)
     assert not eval_builtin(Atom("\\=", (Int(1), Int(1))), store)
 
@@ -121,16 +126,8 @@ def test_true_fail():
 # hypothesis lookup
 
 
-def _hyps(atoms, store: BindStore):
-    """A hypothesis context holding ``atoms`` (oldest first), keyed as ``solve_co`` keys it."""
-    context = None
-    for a in atoms:
-        context = KeyedHyps(a, lookup_key(a, store.resolve), context)
-    return context
-
-
-def _lookup(goal: Atom, hyps, store: BindStore):
-    return hyp_lookup(goal, _hyps(hyps, store), store, lookup_key(goal, store.resolve))
+def _lookup(goal: Atom, hypotheses, store: BindStore):
+    return hyp_lookup(goal, hyps(hypotheses, store), store, lookup_key(goal, store.resolve))
 
 
 def test_hyp_lookup_unifies_under_current_store():
@@ -141,7 +138,7 @@ def test_hyp_lookup_unifies_under_current_store():
     hyp = Atom("max", (L, M))
     found = _lookup(Atom("max", (L, M2)), (hyp,), store)
     assert found == [hyp]
-    assert store.is_unbound(M.id)  # trial rolled back
+    assert is_unbound(store, M.id)  # trial rolled back
 
 
 def test_hyp_lookup_filters_predicate_and_orders_recent_first():
@@ -201,39 +198,38 @@ def test_lookup_trials_do_not_grow_with_depth(running, monkeypatch, goal, mode):
 
 
 def test_lfp_empty_goal_succeeds_without_binding(running):
-    res = Resolution(running)
-    assert sum(1 for _ in res.solve_lfp((), LfpCounts())) == 1
-    assert res.store.mark() == 0
+    store = BindStore()
+    assert sum(1 for _ in run_goals(running, (), store, counts=LfpCounts())) == 1
+    assert store.mark() == 0
 
 
 def test_lfp_pq_cofact_usable_anywhere(pq):
     # p(0) is provable outright (the co-fact acts as a fact of the
     # enriched program); p(1) dies against the revisit limit.
-    res = Resolution(pq)
-    assert any(True for _ in res.solve_lfp((atom("p", 0),), LfpCounts()))
-    res = Resolution(pq)
-    assert not any(True for _ in res.solve_lfp((atom("p", 1),), LfpCounts()))
+    assert any(True for _ in run_goals(pq, (atom("p", 0),), BindStore(), counts=LfpCounts()))
+    assert not any(True for _ in run_goals(pq, (atom("p", 1),), BindStore(), counts=LfpCounts()))
 
 
 def test_lfp_running_example_mid_derivation(running):
     # Goal max(L, M2) with L = [1,2|L] and M2 = M succeeds binding M2 to 2.
-    res = Resolution(running)
+    store = BindStore()
     L, M, M2 = Var(1000), Var(1001), Var(1002)
-    assert unify(L, list_term([Int(1), Int(2)], tail=L), res.store)
-    assert unify(M2, M, res.store)
+    assert unify(L, list_term([Int(1), Int(2)], tail=L), store)
+    assert unify(M2, M, store)
     goal = (Atom("max", (L, M2)),)
-    success = next(iter(res.solve_lfp(goal, LfpCounts())), "fail")
+    success = next(iter(run_goals(running, goal, store, counts=LfpCounts())), "fail")
     assert success is None
-    assert rational_equal(M2, Int(2), res.store)
-    assert rational_equal(M, Int(2), res.store)
+    assert rational_equal(M2, Int(2), store)
+    assert rational_equal(M, Int(2), store)
 
 
 def test_lfp_revisit_limit_configurable():
     # chain p(N) :- p(N+1)-ish depth via distinct atoms is unaffected;
     # self-recursion dies at the limit.
     loop = parse_program("p :- p.")
-    res = Resolution(loop, EngineConfig(lfp_revisit_limit=5))
-    assert not any(True for _ in res.solve_lfp((Atom("p"),), LfpCounts()))
+    runs = run_goals(loop, (Atom("p"),), BindStore(), counts=LfpCounts(),
+                     config=EngineConfig(lfp_revisit_limit=5))
+    assert not any(True for _ in runs)
 
 
 # revisit-count snapshots
@@ -241,9 +237,9 @@ def test_lfp_revisit_limit_configurable():
 
 def _snapshot(goal: Atom, store: BindStore, first_id: int = 100) -> tuple[Atom, int]:
     """The snapshot of ``goal`` under ``store`` and the number of fresh variables it took."""
-    resolution = Resolution(Program(), store=store, var_source=VarSource(first_id))
-    snapshot = resolution._snapshot_atom(goal)
-    return snapshot, resolution.vars.next_id - first_id
+    source = VarSource(first_id)
+    snapshot = engine._snapshot_atom(goal, store, source)
+    return snapshot, source.next_id - first_id
 
 
 def _classes_reached(goal: Atom, store: BindStore) -> int:
@@ -314,7 +310,7 @@ def test_snapshot_is_a_variant_that_later_bindings_leave_alone(args, bindings):
     assert variant_equal(original, store, copy, store)
     before = unfold(copy, store, 12)
     for vid in range(6):  # every original variable still unbound
-        if store.is_unbound(vid):
+        if is_unbound(store, vid):
             assert unify(Var(vid), Compound("bound"), store)
     assert unfold(copy, store, 12) == before
 
@@ -323,22 +319,21 @@ def test_snapshot_is_a_variant_that_later_bindings_leave_alone(args, bindings):
 
 
 def test_co_empty_goal(running):
-    res = Resolution(running)
-    assert sum(1 for _ in res.solve_co((), ())) == 1
+    assert sum(1 for _ in run_goals(running, (), BindStore())) == 1
 
 
 def test_co_hyp_triggers_bounded_proof(running):
     # Under hypothesis max(L, M), the revisited goal max(L, M2) (with
     # M2 = M) succeeds through the enriched-program proof, yielding M2 = 2.
-    res = Resolution(running)
+    store = BindStore()
     L, M, M2 = Var(1000), Var(1001), Var(1002)
-    assert unify(L, list_term([Int(1), Int(2)], tail=L), res.store)
-    assert unify(M2, M, res.store)
+    assert unify(L, list_term([Int(1), Int(2)], tail=L), store)
+    assert unify(M2, M, store)
     hyp = Atom("max", (L, M))
     goal = (Atom("max", (L, M2)),)
-    success = next(iter(res.solve_co(goal, (hyp,))), "fail")
+    success = next(iter(run_goals(running, goal, store, (hyp,))), "fail")
     assert success is None
-    assert rational_equal(M2, Int(2), res.store)
+    assert rational_equal(M2, Int(2), store)
 
 
 def test_self_loop_fails_under_defaults():
@@ -398,15 +393,14 @@ def test_answer_store_extends_initial_equations(running):
     # query's initial equations are already solved in the store, so
     # re-unifying them adds nothing to the trail.
     query = parse_query("?- L = [1,2|L], max(L, M).")
-    source = VarSource(max(query.var_names) + 1)
-    res = Resolution(running, var_source=source)
+    store = BindStore()
     eq = query.goal.atoms[0]
     assert eq.predicate == "="
     count = 0
-    for _ in res.solve_co(query.goal.atoms, ()):
-        before = res.store.mark()
-        assert unify(eq.args[0], eq.args[1], res.store)
-        assert res.store.mark() == before
+    for _ in run_goals(running, query.goal.atoms, store):
+        before = store.mark()
+        assert unify(eq.args[0], eq.args[1], store)
+        assert store.mark() == before
         count += 1
     assert count == 3  # three solution-equivalent derivations of the answer
 
@@ -477,8 +471,7 @@ def test_coinductive_mode_builds_universal_program_once(monkeypatch):
     for _ in range(2):
         assert succeeds(program, "p.", mode="coinductive")
     assert built == [program]
-    config = EngineConfig(mode="coinductive")
-    assert Resolution(program, config).program is Resolution(program, config).program
+    assert program.universal is program.universal
 
 
 MODE_COHERENCE_CORPUS = [
@@ -534,12 +527,19 @@ def test_solve_accepts_plain_goal(pq):
     assert got == []
 
 
-def test_resolution_var_source_clears_query_ids(running):
+def test_fresh_variables_clear_query_ids(running, monkeypatch):
     # Fresh renamings must never collide with query variable ids.
     query = parse_query("?- L = [1,2|L], max(L, M).")
-    source = VarSource(max(query.var_names) + 1)
-    res = Resolution(running, var_source=source)
-    assert res.vars.next_id > max(query.var_names)
+    first_ids = []
+    rename = engine.fresh_rename
+
+    def recorded(clause, source):
+        first_ids.append(source.next_id)
+        return rename(clause, source)
+
+    monkeypatch.setattr(engine, "fresh_rename", recorded)
+    assert next(solve(running, query), None) is not None
+    assert first_ids and min(first_ids) > max(query.var_names)
 
 
 def test_max_with_unbound_list_first_answer_then_error(running):
@@ -761,14 +761,11 @@ def test_index_cofacts_last_in_bounded_stratum_only(indexed):
     program, _ = indexed
     for extended, expected in ((False, ["var", "const", "const2", "var2"]),
                                (True, ["var", "const", "const2", "var2", "cofact"])):
-        res = Resolution(program)
+        store = BindStore()
         B = Var(1000)
         goal = (Atom("k", (Compound("a"), B)),)
-        if extended:
-            runs = res.solve_lfp(goal, LfpCounts())
-        else:
-            runs = res.solve_co(goal, ())
-        assert [render_term(res.store.resolve(B)) for _ in runs] == expected
+        runs = run_goals(program, goal, store, counts=LfpCounts() if extended else None)
+        assert [render_term(store.resolve(B)) for _ in runs] == expected
     store = BindStore()
     goal = Atom("k", (Compound("a"), Var(1000)))
     assert _labels(program.index.candidates(goal, True, store.resolve))[-1] == "cofact"

@@ -7,15 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cologic import Atom, Compound, Int, InternalError, Var, list_term, render_term
-from cologic.unify import (
-    BindStore,
-    extract_answer,
-    rational_equal,
-    unify,
-    unify_atoms,
-    variant_equal,
-)
-from helpers import unfold
+from cologic.unify import BindStore, extract_answer, unify, unify_atoms
+from helpers import is_unbound, rational_equal, unfold, variant_equal
 
 
 def cons(h, t):
@@ -87,7 +80,7 @@ def test_unify_atoms_member_clash():
     start = store.mark()
     assert not unify_atoms(a, b, store)
     assert store.mark() == start
-    assert store.is_unbound(X.id)
+    assert is_unbound(store, X.id)
 
 
 def test_resolve_is_shallow():
@@ -131,9 +124,9 @@ def test_mark_rollback_basics():
     X = Var(0)
     m = store.mark()
     assert unify(X, Compound("a"), store)
-    assert not store.is_unbound(X.id)
+    assert not is_unbound(store, X.id)
     store.rollback(m)
-    assert store.is_unbound(X.id)
+    assert is_unbound(store, X.id)
 
 
 def test_nested_marks_unwind_lifo():
@@ -144,9 +137,9 @@ def test_nested_marks_unwind_lifo():
     m2 = store.mark()
     unify(Y, Compound("b"), store)
     store.rollback(m2)
-    assert store.is_unbound(Y.id) and not store.is_unbound(X.id)
+    assert is_unbound(store, Y.id) and not is_unbound(store, X.id)
     store.rollback(m1)
-    assert store.is_unbound(X.id)
+    assert is_unbound(store, X.id)
 
 
 def test_stale_rollback_token_is_internal_error():
