@@ -9,9 +9,8 @@ Usage::
 Answers print one ``Var = Term`` line per query variable (cyclic bindings
 in back-reference form), ``true.`` for a variable-free success, and
 ``false.`` when a query has no answer. Exit status: 0 when every query
-had at least one answer, 1 otherwise, 2 on any error. A term nested too
-deeply for Python's recursion limit is reported as an error too, in one
-line, never as a traceback.
+had at least one answer, 1 otherwise, 2 on any error. An error prints as
+one line on stderr, never as a traceback, however deep the term.
 """
 
 from __future__ import annotations
@@ -61,19 +60,6 @@ def oracle_report(program: Program) -> str:
     )
 
 
-# Errors reported as one stderr line: the package's own, and running out of
-# Python stack on a deeply nested term (answer extraction and the other
-# term walks, not the parser, still recurse on term depth).
-_REPORTED = (CologicError, RecursionError)
-
-
-def _report(exc: Exception) -> None:
-    if isinstance(exc, RecursionError):
-        print("cologic: term nested too deeply (Python recursion limit reached)", file=sys.stderr)
-    else:
-        print(exc, file=sys.stderr)
-
-
 def _load_program(path: str) -> Program:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -94,16 +80,16 @@ def run_file(
     """Load a program, optionally print the oracle report, run the queries."""
     try:
         program = _load_program(path) if path else Program()
-    except (OSError, *_REPORTED) as exc:
-        _report(exc)
+    except (OSError, CologicError) as exc:
+        print(exc, file=sys.stderr)
         return 2
     had_error = False
     all_answered = True
     if oracle:
         try:
             print(oracle_report(program))
-        except _REPORTED as exc:
-            _report(exc)
+        except CologicError as exc:
+            print(exc, file=sys.stderr)
             had_error = True
     for text in queries:
         try:
@@ -119,8 +105,8 @@ def run_file(
             if not got_answer:
                 print("false.")
                 all_answered = False
-        except _REPORTED as exc:
-            _report(exc)
+        except CologicError as exc:
+            print(exc, file=sys.stderr)
             had_error = True
     if had_error:
         return 2
@@ -134,8 +120,8 @@ def repl_loop(path: str | None = None, config: EngineConfig | None = None) -> in
     if path:
         try:
             program = _load_program(path)
-        except (OSError, *_REPORTED) as exc:
-            _report(exc)
+        except (OSError, CologicError) as exc:
+            print(exc, file=sys.stderr)
     while True:
         try:
             line = input("?- ").strip()
@@ -156,13 +142,13 @@ def repl_loop(path: str | None = None, config: EngineConfig | None = None) -> in
             elif command == ":load":
                 try:
                     program = _load_program(argument)
-                except (OSError, *_REPORTED) as exc:
-                    _report(exc)
+                except (OSError, CologicError) as exc:
+                    print(exc, file=sys.stderr)
             elif command == ":oracle":
                 try:
                     print(oracle_report(program))
-                except _REPORTED as exc:
-                    _report(exc)
+                except CologicError as exc:
+                    print(exc, file=sys.stderr)
             else:
                 print(f"unknown command {command!r}", file=sys.stderr)
             continue
@@ -181,8 +167,8 @@ def _repl_query(text: str, program: Program, config: EngineConfig) -> None:
             if more != ";":
                 return
         print("false.")
-    except _REPORTED as exc:
-        _report(exc)
+    except CologicError as exc:
+        print(exc, file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:

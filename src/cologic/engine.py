@@ -30,9 +30,9 @@ the goal's context picks the stratum:
 The loop does not recurse per selected goal, so branch depth is not
 limited by Python's recursion limit; the parser, clause renaming
 (:func:`cologic.terms.fresh_rename`) and revisit-count snapshots walk
-terms with their own stacks too. These walks still recurse on term depth:
-:func:`cologic.unify.extract_answer`, :func:`cologic.terms.render_term`
-and :func:`eval_arith`.
+terms with their own stacks too, and so do answer extraction
+(:func:`cologic.unify.extract_answer`), printing
+(:func:`cologic.terms.render_term`) and :func:`eval_arith`.
 
 Nothing is copied that later search cannot change. Renaming shares a
 clause's ground subterms, and a revisit-count snapshot shares each goal
@@ -138,20 +138,48 @@ _COMPARE = {"<": operator.lt, ">": operator.gt, ">=": operator.ge,
 
 
 def eval_arith(t: Term, store: BindStore) -> int:
-    """Fully evaluate a term to an integer under the store."""
+    """Fully evaluate a term to an integer under the store.
+
+    Postfix, left operand first, on its own stack, so any depth works. A
+    class met again while its value is still open makes the term cyclic.
+    """
     t = store.resolve(t)
-    if isinstance(t, Int):
+    if t.__class__ is Int:  # the common case needs no stack
         return t.value
-    if isinstance(t, Var):
-        raise InstantiationError("unbound variable in arithmetic")
-    op = _ARITH.get(t.functor)
-    if op is not None and len(t.args) == 2:
-        a = eval_arith(t.args[0], store)
-        b = eval_arith(t.args[1], store)
-        if op is operator.floordiv and b == 0:
-            raise EvaluationError("division by zero")
-        return op(a, b)
-    raise InstantiationError(f"cannot evaluate {render_term(t)} as an integer")
+    values: list[int] = []
+    done: dict[int, int | None] = {}  # class -> value of its binding, None while open
+    todo: list = [t]
+    while todo:
+        t = todo.pop()
+        if t.__class__ is Var:
+            bound = store.resolve(t)
+            if bound.__class__ is Compound:
+                rep = store.find(t.id)
+                if rep in done:
+                    if done[rep] is None:
+                        raise InstantiationError("cyclic term in arithmetic")
+                    values.append(done[rep])
+                    continue
+                done[rep] = None
+                todo.append(rep)
+            t = bound
+        if t.__class__ is Int:
+            values.append(t.value)
+        elif t.__class__ is Var:
+            raise InstantiationError("unbound variable in arithmetic")
+        elif t.__class__ is int:  # class ``t``'s binding is evaluated
+            done[t] = values[-1]
+        elif t.__class__ is Compound:
+            op = _ARITH.get(t.functor)
+            if op is None or len(t.args) != 2:
+                raise InstantiationError(f"cannot evaluate {render_term(t)} as an integer")
+            todo += (op, t.args[1], t.args[0])
+        else:  # an operator, both of its operands evaluated
+            b = values.pop()
+            if t is operator.floordiv and b == 0:
+                raise EvaluationError("division by zero")
+            values[-1] = t(values[-1], b)
+    return values[0]
 
 
 def eval_builtin(atom: Atom, store: BindStore) -> bool:

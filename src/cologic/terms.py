@@ -19,8 +19,8 @@ assignment raises :class:`dataclasses.FrozenInstanceError`, equality holds
 within one class only, the ``repr`` is the dataclass one, and the hash is
 that of the field tuple. ``Compound``, ``Atom`` and ``Clause`` keep their
 hash in a slot once computed. ``Compound`` equality and the first hash of
-a compound keep their own stacks, so any nesting depth works; ``repr`` and
-``str`` still recurse.
+a compound keep their own stacks, and so does :func:`render_term` (and with
+it ``str``), so any nesting depth works; only ``repr`` still recurses.
 """
 
 from __future__ import annotations
@@ -612,32 +612,37 @@ _INFIX_FUNCTORS = ("+", "-", "*", "//")
 
 
 def render_term(t: Term, names: dict[int, str] | None = None) -> str:
-    if isinstance(t, Var):
-        if names and t.id in names:
-            return names[t.id]
-        return f"_G{t.id}"
-    if isinstance(t, Int):
-        try:
-            return str(t.value)
-        except ValueError:  # more digits than the interpreter converts
-            raise CologicError(f"integer too large to print ({t.value.bit_length()} bits)") from None
-    if t.functor == NIL and not t.args:
-        return "[]"
-    if t.functor == CONS and len(t.args) == 2:
-        items = []
-        cur: Term = t
-        while isinstance(cur, Compound) and cur.functor == CONS and len(cur.args) == 2:
-            items.append(render_term(cur.args[0], names))
-            cur = cur.args[1]
-        if isinstance(cur, Compound) and cur.functor == NIL and not cur.args:
-            return "[" + ", ".join(items) + "]"
-        return "[" + ", ".join(items) + "|" + render_term(cur, names) + "]"
-    if t.functor in _INFIX_FUNCTORS and len(t.args) == 2:
-        left, right = (render_term(a, names) for a in t.args)
-        return f"({left}{t.functor}{right})"
-    if not t.args:
-        return t.functor
-    return t.functor + "(" + ", ".join(render_term(a, names) for a in t.args) + ")"
+    """Text of a term; literal text and subterms share one stack, so any depth works."""
+    out: list[str] = []
+    todo: list = [t]
+    while todo:
+        t = todo.pop()
+        if t.__class__ is str:
+            out.append(t)
+        elif t.__class__ is Var:
+            out.append(names[t.id] if names and t.id in names else f"_G{t.id}")
+        elif t.__class__ is Int:
+            try:
+                out.append(str(t.value))
+            except ValueError:  # more digits than the interpreter converts
+                raise CologicError(f"integer too large to print ({t.value.bit_length()} bits)") from None
+        elif not t.args:
+            out.append(t.functor)
+        elif t.functor in _INFIX_FUNCTORS and len(t.args) == 2:
+            todo += (")", t.args[1], t.functor, t.args[0], "(")
+        else:
+            if t.functor == CONS and len(t.args) == 2:
+                opening, items = "[", []
+                while t.__class__ is Compound and t.functor == CONS and len(t.args) == 2:
+                    items.append(t.args[0])
+                    t = t.args[1]
+                closing = ["]"] if t.__class__ is Compound and t.functor == NIL and not t.args else ["|", t, "]"]
+            else:
+                opening, items, closing = t.functor + "(", t.args, [")"]
+            parts = [x for item in items for x in (", ", item)]
+            parts[0] = opening
+            todo += reversed(parts + closing)
+    return "".join(out)
 
 
 def render_atom(a: Atom, names: dict[int, str] | None = None) -> str:

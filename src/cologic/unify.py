@@ -183,12 +183,12 @@ def extract_answer(
     equation). Unbound query variables are reported as themselves;
     other unbound classes show up as ``_G``-named variables. ``names``
     maps every variable id appearing on a right-hand side to its display
-    name, so the equations are self-contained.
+    name, so the equations are self-contained. Both walks keep their own
+    stacks, so any depth and any cycle length work.
     """
     rep_name: dict[int, str] = {}
     for name, vid in query_vars:
         rep_name.setdefault(store.find(vid), name)
-    aux_queue: list[int] = []
     taken = {name for name, _ in query_vars}
     counters = {"_G": 0, "_R": 0}
 
@@ -201,63 +201,72 @@ def extract_answer(
                 taken.add(name)
                 return name
 
-    # Pre-pass: find the classes some binding path loops back through, so
-    # the expansion can reference them by name on first touch instead of
-    # inlining one needless unfolding.
+    # Pre-pass, a coloured depth-first search over the binding graph: a
+    # class met again while it is still on the path (grey) is cyclic, and
+    # every cycle holds one. An int on the stack ends its class's visit.
     cyclic: set[int] = set()
     explored: set[int] = set()
-
-    def discover(t: Term, path: frozenset[int]) -> None:
-        if isinstance(t, Var):
+    grey: set[int] = set()
+    todo: list = [Var(vid) for _, vid in reversed(query_vars)]
+    while todo:
+        t = todo.pop()
+        if t.__class__ is int:
+            grey.discard(t)
+        elif t.__class__ is Var:
             rep = store.find(t.id)
-            if rep in path:
+            if rep in grey:
                 cyclic.add(rep)
-                return
-            if rep in explored:
-                return
-            explored.add(rep)
-            resolved = store.resolve(t)
-            if not isinstance(resolved, Var):
-                discover(resolved, path | {rep})
-        elif isinstance(t, Compound):
-            for a in t.args:
-                discover(a, path)
+            elif rep not in explored:
+                explored.add(rep)
+                bound = store.resolve(t)
+                if bound.__class__ is not Var:
+                    grey.add(rep)
+                    todo += (rep, bound)
+        elif t.__class__ is Compound:
+            todo += reversed(t.args)
 
-    for _, vid in query_vars:
-        discover(Var(vid), frozenset())
+    aux_queue: list[int] = []
 
-    def back_reference(rep: int) -> Var:
-        if rep not in rep_name:
-            rep_name[rep] = fresh_display("_R")
-            aux_queue.append(rep)
-        return Var(rep)
-
-    def expand(t: Term, path: frozenset[int], root_rep: int) -> Term:
-        if isinstance(t, Var):
-            rep = store.find(t.id)
-            resolved = store.resolve(t)
-            if isinstance(resolved, Var):  # unbound class
-                if rep not in rep_name:
-                    rep_name[rep] = fresh_display("_G")
-                return Var(rep)
-            if rep in path or (rep in cyclic and rep != root_rep):
-                return back_reference(rep)
-            if rep in rep_name and rep != root_rep:
-                return Var(rep)
-            return expand(resolved, path | {rep}, root_rep)
-        if isinstance(t, Int):
-            return t
-        return Compound(t.functor, tuple(expand(a, path, root_rep) for a in t.args))
+    def expand(t: Term) -> Term:
+        # Inlines the binding of every class that is neither cyclic nor
+        # named. Preorder, left to right, so fresh names follow reading
+        # order; a (functor, arity) entry builds its compound from the last
+        # ``arity`` results.
+        out: list[Term] = []
+        pending: list = [t]
+        while pending:
+            t = pending.pop()
+            if t.__class__ is tuple:
+                functor, n = t
+                args = tuple(out[-n:])
+                del out[-n:]
+                out.append(Compound(functor, args))
+            elif t.__class__ is Var:
+                rep = store.find(t.id)
+                bound = store.resolve(t)
+                if bound.__class__ is Var:  # unbound class
+                    if rep not in rep_name:
+                        rep_name[rep] = fresh_display("_G")
+                    out.append(Var(rep))
+                elif rep in cyclic or rep in rep_name:
+                    if rep not in rep_name:
+                        rep_name[rep] = fresh_display("_R")
+                        aux_queue.append(rep)
+                    out.append(Var(rep))
+                else:
+                    pending.append(bound)
+            elif t.__class__ is Compound and t.args:
+                pending.append((t.functor, len(t.args)))
+                pending += reversed(t.args)
+            else:
+                out.append(t)
+        return out[0]
 
     equations: list[tuple[str, Term]] = []
     for name, vid in query_vars:
         rep = store.find(vid)
-        if rep_name.get(rep) != name:
-            # Aliases an earlier query variable: reference it by name.
-            equations.append((name, Var(rep)))
-            continue
-        equations.append((name, expand(Var(vid), frozenset(), rep)))
-    while aux_queue:
-        rep = aux_queue.pop(0)
-        equations.append((rep_name[rep], expand(store.resolve(Var(rep)), frozenset({rep}), rep)))
+        # An alias of an earlier query variable references it by name.
+        equations.append((name, Var(rep) if rep_name[rep] != name else expand(store.resolve(Var(rep)))))
+    for rep in aux_queue:  # expand appends to aux_queue while this loop runs
+        equations.append((rep_name[rep], expand(store.resolve(Var(rep)))))
     return equations, dict(rep_name)

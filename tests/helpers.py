@@ -5,12 +5,16 @@ alpha-equivalence goes through canonical renumbering (not unification),
 rational-tree equality through bisimulation (`rational_equal` in one
 store, `variant_equal` across two, as when answers are rebuilt in fresh
 stores), and `unfold` gives a bounded tree-expansion oracle for cyclic
-equality. `run_goals` runs the
-engine's search loop from a chosen store and context, which `solve`
-never starts from.
+equality. The `reference_*` functions are the plain recursive forms of
+walks the package runs on explicit stacks, kept as differential oracles.
+`run_goals` runs the engine's search loop from a chosen store and
+context, which `solve` never starts from.
 """
 
 from __future__ import annotations
+
+import operator
+from typing import Sequence
 
 from cologic import (
     Answer,
@@ -29,7 +33,8 @@ from cologic import (
 )
 from cologic import engine
 from cologic.engine import KeyedHyps, LfpCounts, lookup_key
-from cologic.terms import VarSource, max_var_id
+from cologic.errors import CologicError, EvaluationError, InstantiationError
+from cologic.terms import CONS, NIL, VarSource, max_var_id
 from cologic.unify import BindStore, unify
 
 RUNNING_EXAMPLE = """
@@ -89,6 +94,141 @@ def reference_rename(clause: Clause, source: VarSource) -> Clause:
         return Atom(a.predicate, tuple(go(t) for t in a.args))
 
     return Clause(go_atom(clause.head), tuple(go_atom(b) for b in clause.body))
+
+
+def reference_render_term(t: Term, names: dict[int, str] | None = None) -> str:
+    """Print a term by plain recursion: the reference for :func:`cologic.terms.render_term`."""
+    if isinstance(t, Var):
+        if names and t.id in names:
+            return names[t.id]
+        return f"_G{t.id}"
+    if isinstance(t, Int):
+        try:
+            return str(t.value)
+        except ValueError:  # more digits than the interpreter converts
+            raise CologicError(f"integer too large to print ({t.value.bit_length()} bits)") from None
+    if t.functor == NIL and not t.args:
+        return "[]"
+    if t.functor == CONS and len(t.args) == 2:
+        items = []
+        cur: Term = t
+        while isinstance(cur, Compound) and cur.functor == CONS and len(cur.args) == 2:
+            items.append(reference_render_term(cur.args[0], names))
+            cur = cur.args[1]
+        if isinstance(cur, Compound) and cur.functor == NIL and not cur.args:
+            return "[" + ", ".join(items) + "]"
+        return "[" + ", ".join(items) + "|" + reference_render_term(cur, names) + "]"
+    if t.functor in ("+", "-", "*", "//") and len(t.args) == 2:
+        left, right = (reference_render_term(a, names) for a in t.args)
+        return f"({left}{t.functor}{right})"
+    if not t.args:
+        return t.functor
+    return t.functor + "(" + ", ".join(reference_render_term(a, names) for a in t.args) + ")"
+
+
+_REFERENCE_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                    "//": operator.floordiv, "max": max, "min": min}
+
+
+def reference_eval_arith(t: Term, store: BindStore) -> int:
+    """Evaluate by plain recursion: the reference for :func:`cologic.engine.eval_arith`.
+
+    Overflows Python's stack on a cyclic term, where the engine raises.
+    """
+    t = store.resolve(t)
+    if isinstance(t, Int):
+        return t.value
+    if isinstance(t, Var):
+        raise InstantiationError("unbound variable in arithmetic")
+    op = _REFERENCE_ARITH.get(t.functor)
+    if op is not None and len(t.args) == 2:
+        a = reference_eval_arith(t.args[0], store)
+        b = reference_eval_arith(t.args[1], store)
+        if op is operator.floordiv and b == 0:
+            raise EvaluationError("division by zero")
+        return op(a, b)
+    raise InstantiationError(f"cannot evaluate {reference_render_term(t)} as an integer")
+
+
+def reference_extract_answer(
+    query_vars: Sequence[tuple[str, int]], store: BindStore
+) -> tuple[list[tuple[str, Term]], dict[int, str]]:
+    """Read back an answer by plain recursion: the reference for :func:`cologic.unify.extract_answer`.
+
+    ``discover`` finds the cyclic classes with path sets, and ``expand``
+    carries the path and the root class it expands from.
+    """
+    rep_name: dict[int, str] = {}
+    for name, vid in query_vars:
+        rep_name.setdefault(store.find(vid), name)
+    aux_queue: list[int] = []
+    taken = {name for name, _ in query_vars}
+    counters = {"_G": 0, "_R": 0}
+
+    def fresh_display(prefix: str) -> str:
+        while True:
+            counters[prefix] += 1
+            name = f"{prefix}{counters[prefix]}"
+            if name not in taken:
+                taken.add(name)
+                return name
+
+    cyclic: set[int] = set()
+    explored: set[int] = set()
+
+    def discover(t: Term, path: frozenset[int]) -> None:
+        if isinstance(t, Var):
+            rep = store.find(t.id)
+            if rep in path:
+                cyclic.add(rep)
+                return
+            if rep in explored:
+                return
+            explored.add(rep)
+            resolved = store.resolve(t)
+            if not isinstance(resolved, Var):
+                discover(resolved, path | {rep})
+        elif isinstance(t, Compound):
+            for a in t.args:
+                discover(a, path)
+
+    for _, vid in query_vars:
+        discover(Var(vid), frozenset())
+
+    def back_reference(rep: int) -> Var:
+        if rep not in rep_name:
+            rep_name[rep] = fresh_display("_R")
+            aux_queue.append(rep)
+        return Var(rep)
+
+    def expand(t: Term, path: frozenset[int], root_rep: int) -> Term:
+        if isinstance(t, Var):
+            rep = store.find(t.id)
+            resolved = store.resolve(t)
+            if isinstance(resolved, Var):
+                if rep not in rep_name:
+                    rep_name[rep] = fresh_display("_G")
+                return Var(rep)
+            if rep in path or (rep in cyclic and rep != root_rep):
+                return back_reference(rep)
+            if rep in rep_name and rep != root_rep:
+                return Var(rep)
+            return expand(resolved, path | {rep}, root_rep)
+        if isinstance(t, Int):
+            return t
+        return Compound(t.functor, tuple(expand(a, path, root_rep) for a in t.args))
+
+    equations: list[tuple[str, Term]] = []
+    for name, vid in query_vars:
+        rep = store.find(vid)
+        if rep_name.get(rep) != name:
+            equations.append((name, Var(rep)))
+            continue
+        equations.append((name, expand(Var(vid), frozenset(), rep)))
+    while aux_queue:
+        rep = aux_queue.pop(0)
+        equations.append((rep_name[rep], expand(store.resolve(Var(rep)), frozenset({rep}), rep)))
+    return equations, dict(rep_name)
 
 
 def canon_clause(clause: Clause) -> Clause:

@@ -316,27 +316,50 @@ def test_oracle_report_function(pq_path):
     ]
 
 
-# Inputs whose nesting exceeds Python's recursion limit in answer extraction:
-# a term 1,200 deep and a 1,500-element list literal both parse, then overflow
-# in extract_answer.
-TOO_DEEP = {
-    "deep_term": "?- X = " + "f(" * 1200 + "a" + ")" * 1200 + ".",
-    "long_list": "?- L = [" + ", ".join(str(i) for i in range(1, 1501)) + "].",
-}
+def _deep_inputs() -> dict[str, tuple[str, str]]:
+    """(query, printed answer) for inputs far deeper than Python's recursion limit."""
+    long_list = "[" + ", ".join(str(i) for i in range(1, 1501)) + "]"
+    list_10000 = "[" + ", ".join(str(i % 7) for i in range(10_000)) + "]"
+    term_10000 = "f(" * 10_000 + "a" + ")" * 10_000
+    nested_10000 = "[" * 10_000 + "]" * 10_000
+    deep_term = "f(" * 1200 + "a" + ")" * 1200
+    cycle = ", ".join(str(i) for i in range(1, 1001))
+    return {
+        "deep_term": (f"?- X = {deep_term}.", f"X = {deep_term}"),
+        "long_list": (f"?- L = {long_list}.", f"L = {long_list}"),
+        "list_10000": (f"?- L = {list_10000}.", f"L = {list_10000}"),
+        "term_10000": (f"?- X = {term_10000}.", f"X = {term_10000}"),
+        "nested_list_10000": (f"?- L = {nested_10000}.", f"L = {nested_10000}"),
+        "sum_1500": ("?- X is " + "+".join(["1"] * 1500) + ".", "X = 1500"),
+        "cycle_1000": (f"?- L = [{cycle}|L], max(L, M).", f"L = [{cycle}|L]\nM = 1000"),
+    }
 
 
-@pytest.mark.parametrize("name", sorted(TOO_DEEP))
-def test_too_deep_input_exit_2_without_traceback(running_path, name):
-    run = _run_cli(running_path, "--query", TOO_DEEP[name], "--query", "?- true.")
-    assert run.returncode == 2
-    assert "Traceback" not in run.stderr
-    assert run.stderr.splitlines() == ["cologic: term nested too deeply (Python recursion limit reached)"]
-    assert run.stdout == "true.\n"  # later queries still run
+# Each nests far deeper than Python's default recursion limit of 1,000 in
+# answer extraction, printing or arithmetic, which all keep their own stacks.
+DEEP = _deep_inputs()
 
 
-@pytest.mark.parametrize("name", sorted(TOO_DEEP))
-def test_repl_too_deep_input_reported(running_path, monkeypatch, capsys, name):
-    code, captured = _run_repl(monkeypatch, capsys, [TOO_DEEP[name], "?- true.", ":quit"], [running_path])
-    assert code == 0
-    assert captured.err.splitlines() == ["cologic: term nested too deeply (Python recursion limit reached)"]
+@pytest.mark.parametrize("name", sorted(DEEP))
+def test_deep_input_prints_answer_exit_0(running_path, name):
+    query, answer = DEEP[name]
+    run = _run_cli(running_path, "--query", query, "--query", "?- true.")  # at the default limit
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == answer + "\ntrue.\n"
+
+
+@pytest.mark.parametrize("name", sorted(DEEP))
+def test_repl_deep_input_prints_answer(running_path, monkeypatch, capsys, name):
+    query, answer = DEEP[name]
+    code, captured = _run_repl(monkeypatch, capsys, [query, "", "?- true.", ":quit"], [running_path])
+    assert (code, captured.err) == (0, "")
+    assert answer + "\n" in captured.out
     assert "true." in captured.out
+
+
+@pytest.mark.parametrize("query", ["?- X = X + 1, Y is X.", "?- X = X + 1, X < 3."])
+def test_cyclic_arithmetic_exit_2_one_line(running_path, query):
+    run = _run_cli(running_path, "--query", query, "--query", "?- true.")
+    assert run.returncode == 2
+    assert run.stderr.splitlines() == ["cyclic term in arithmetic"]
+    assert run.stdout == "true.\n"  # later queries still run

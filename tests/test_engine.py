@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cologic import (
     Atom,
+    CologicError,
     Compound,
     EngineConfig,
     EvaluationError,
@@ -39,6 +40,7 @@ from helpers import (
     hyps,
     is_unbound,
     rational_equal,
+    reference_eval_arith,
     run_goals,
     succeeds,
     unfold,
@@ -115,6 +117,64 @@ def test_division_by_zero():
     store = BindStore()
     with pytest.raises(EvaluationError):
         eval_builtin(Atom("is", (Var(0), Compound("//", (Int(1), Int(0))))), store)
+
+
+def test_cyclic_arithmetic_raises_instantiation_error():
+    # X = X + 1 binds X to an infinite sum: its value is met again while
+    # it is still being evaluated, in either operand position.
+    for rhs in (Compound("+", (Var(0), Int(1))), Compound("-", (Int(1), Var(0)))):
+        store = BindStore()
+        assert unify(Var(0), rhs, store)
+        with pytest.raises(InstantiationError, match="^cyclic term in arithmetic$"):
+            eval_builtin(Atom("is", (Var(1), Var(0))), store)
+        with pytest.raises(InstantiationError, match="^cyclic term in arithmetic$"):
+            eval_builtin(Atom("<", (Var(0), Int(3))), store)
+    with pytest.raises(InstantiationError, match="^cyclic term in arithmetic$"):
+        ask(Program(), "?- X = Y * 2, Y = X + 1, Z is Y.")
+
+
+def test_shared_arithmetic_operands_still_evaluate():
+    assert ask(Program(), "?- X = Y + Y, Y = 2, Z is X.").equations[-1] == ("Z", Int(4))
+    assert ask(Program(), "?- Y = 1 + 2, X = Y * Y, Z is X + Y.").equations[-1] == ("Z", Int(12))
+    # A chain that doubles 40 times shares each link: 2**40 leaves, 40 classes.
+    store = BindStore()
+    for i in range(1, 41):
+        assert unify(Var(i), Compound("+", (Var(i - 1), Var(i - 1))), store)
+    assert unify(Var(0), Int(1), store)
+    assert engine.eval_arith(Var(40), store) == 2**40
+
+
+arith_terms = st.recursive(
+    st.integers(-2, 3).map(Int) | st.integers(0, 3).map(Var),
+    lambda sub: st.builds(
+        Compound,
+        st.sampled_from(["+", "-", "*", "//", "max", "min", "f"]),
+        st.lists(sub, min_size=1, max_size=2).map(tuple),
+    ),
+    max_leaves=8,
+)
+
+
+def _evaluated(evaluate, term, store):
+    try:
+        return evaluate(term, store)
+    except CologicError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@given(arith_terms, st.lists(st.tuples(st.integers(0, 3), arith_terms), max_size=4))
+def test_eval_arith_matches_recursive_reference(term, bindings):
+    # Bindings whose term holds their own variable make cyclic sums.
+    store = BindStore()
+    for vid, bound in bindings:
+        unify(Var(vid), bound, store)
+    got = _evaluated(engine.eval_arith, term, store)
+    try:
+        expected = _evaluated(reference_eval_arith, term, store)
+    except RecursionError:  # the reference loops on a cyclic term
+        assert got == ("InstantiationError", "cyclic term in arithmetic")
+        return
+    assert got == expected
 
 
 def test_true_fail():

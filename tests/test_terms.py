@@ -15,6 +15,7 @@ from cologic import (
     CologicError,
     Compound,
     Int,
+    Term,
     Var,
     list_term,
     parse_program,
@@ -30,7 +31,7 @@ from cologic.terms import (
     with_universal_cofacts,
 )
 from cologic.cli import main
-from helpers import alpha_equal_clause, canon_clause, reference_rename, substitute
+from helpers import alpha_equal_clause, canon_clause, reference_rename, reference_render_term, substitute
 
 
 def test_fresh_rename_single_variable_forced():
@@ -185,6 +186,32 @@ def test_list_sugar_rendering():
     assert render_term(list_term([Int(1), Int(2)], tail=Var(9)), {9: "T"}) == "[1, 2|T]"
     assert render_term(Compound("[]")) == "[]"
     assert render_term(Compound("+", (Int(1), Int(2)))) == "(1+2)"
+
+
+printed_terms = st.recursive(
+    st.integers(-9, 9).map(Int) | st.integers(0, 3).map(Var) | st.sampled_from(["[]", "a"]).map(Compound),
+    lambda sub: st.builds(
+        Compound,
+        st.sampled_from([".", "+", "-", "*", "//", "max", "f", "[]"]),
+        st.lists(sub, min_size=1, max_size=3).map(tuple),
+    ) | st.builds(list_term, st.lists(sub, min_size=1, max_size=3), sub),
+    max_leaves=12,
+)
+
+
+@given(printed_terms, st.dictionaries(st.integers(0, 3), st.sampled_from(["X", "L", "_G1"])))
+def test_render_term_matches_recursive_reference(term, names):
+    assert render_term(term, names) == reference_render_term(term, names)
+    assert render_term(term) == reference_render_term(term)
+
+
+def test_render_term_any_depth():
+    depth = 10_000
+    assert sys.getrecursionlimit() < depth
+    nested: Term = Compound("a")
+    for _ in range(depth):
+        nested = Compound("f", (list_term([nested], Var(0)),))
+    assert render_term(nested, {0: "T"}) == "f([" * depth + "a" + "|T])" * depth
 
 
 def test_oversized_integer_answer_is_reported(tmp_path, capsys):

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cologic import Atom, Compound, Int, InternalError, Var, list_term, render_term
 from cologic.unify import BindStore, extract_answer, unify, unify_atoms
-from helpers import is_unbound, rational_equal, unfold, variant_equal
+from helpers import is_unbound, rational_equal, reference_extract_answer, unfold, variant_equal
 
 
 def cons(h, t):
@@ -272,6 +272,35 @@ def test_extract_answer_round_trips_through_reconstruction():
         original = Compound("$all", tuple(Var(i) for i in range(n_vars)))
         copy = Compound("$all", tuple(var_of[f"V{i}"] for i in range(n_vars)))
         assert variant_equal(original, store, copy, rebuilt)
+
+
+store_terms = st.recursive(
+    st.integers(0, 1).map(Int) | st.integers(0, 5).map(Var),
+    lambda sub: st.builds(
+        Compound,
+        st.sampled_from(["f", "g", "."]),
+        st.lists(sub, min_size=1, max_size=2).map(tuple),
+    ),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.tuples(st.integers(0, 5), store_terms), min_size=1, max_size=8),
+    st.lists(
+        st.tuples(st.sampled_from(["X", "L", "_G1", "_G2", "_R1", "_R2"]), st.integers(0, 5)),
+        min_size=1, max_size=3, unique_by=lambda pair: pair[0],
+    ),
+)
+def test_extract_answer_matches_recursive_reference(bindings, query_vars):
+    # A binding to a bare variable aliases two classes, and one to a term
+    # holding its own variable makes a cycle. Query variables spelled like
+    # fresh names push the _G/_R numbering past them.
+    store = BindStore()
+    for vid, term in bindings:
+        unify(Var(vid), term, store)
+    assert repr(extract_answer(query_vars, store)) == repr(reference_extract_answer(query_vars, store))
 
 
 finite_terms = st.recursive(

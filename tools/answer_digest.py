@@ -10,10 +10,15 @@ seed, and runs every ``query`` case in every mode, once with a 40-step
 budget and once with a 20,000-step cap, taking up to 12 answers. For each
 (case, mode, budget) it records the answer sequence, each answer as the
 ``repr`` of its ``equations`` and ``names`` (so variable ids count), and
-the error type and message if the search raised. It prints one line per
-workload: the name, the number of sequences and their SHA-256 digest.
-Two checkouts give equal digests exactly when they give the same answers
-in the same order, with the same variable ids and errors.
+the error type and message if the search raised. The terms' ``repr``
+recurses, so an answer too deep for it is recorded as ``repr-too-deep``
+and its ``cologic.cli.format_answer`` text instead: the tool's own stack
+overflow is not an error of the search, and where it strikes depends on
+the caller's stack. It prints one line per workload: the name, the
+number of sequences and their SHA-256 digest. Two checkouts give equal
+digests exactly when they give the same answers in the same order, with
+the same variable ids and errors; compare them with the same copy of
+this tool.
 
 A last line, ``parse``, digests the parser alone: the ``repr`` of
 ``parse_program`` for every program text of the three workloads and of
@@ -66,6 +71,7 @@ def load(checkout: Path):
 
 def sequences(cologic, workload_pass, max_cases: int | None = None):
     """Yield one text line per (query case, mode, budget): its answers, then its error if any."""
+    cli = importlib.import_module("cologic.cli")
     programs: dict[str, object] = {}
     cases = [c for c in workload_pass.cases if c.op == "query"][:max_cases]
     for case in cases:
@@ -79,7 +85,10 @@ def sequences(cologic, workload_pass, max_cases: int | None = None):
                 try:
                     query = cologic.parse_query(case.text)
                     for answer in islice(cologic.solve(program, query, config), MAX_ANSWERS):
-                        parts.append(f"{answer.equations!r} {answer.names!r}")
+                        try:
+                            parts.append(f"{answer.equations!r} {answer.names!r}")
+                        except RecursionError:
+                            parts.append(f"repr-too-deep {cli.format_answer(answer)}")
                 except Exception as e:  # an error, whatever its type, is part of the behaviour
                     parts.append(f"error {type(e).__name__}: {e}")
                 yield "\t".join(parts)
