@@ -1,8 +1,8 @@
 """Co-SLD resolution where revisited goals must pass a bounded finiteness check.
 
 ``solve`` enumerates answers depth-first, leftmost atom first, clauses in
-program order. It is the only entry point: it picks the mode's program and
-first context, then runs one loop, :func:`_run`, that serves both strata.
+program order. It is the only entry point: it picks the mode's clause
+indexes and first context, then runs :func:`_run`, one loop for both strata.
 The loop keeps a goal list, linked as ``(atom, context, rest)``, and a
 stack of choice points that each hold a trail mark (as in the WAM:
 Ait-Kaci 1991, *Warren's Abstract Machine: A Tutorial Reconstruction*).
@@ -51,14 +51,16 @@ so its bindings only extend the ones the keys were taken under. Contexts
 stay persistent: a :class:`KeyedHyps` node or an :class:`LfpCounts` value
 is never changed once built.
 
-Both strata select clauses through the program's clause index
-(:class:`cologic.terms.ClauseIndex`): on the predicate and arity, then on
-the first argument the goal has bound, keeping every clause whose head has
-a variable or the same principal symbol there. Every skipped clause is one
-whose head unification would clash, and program order is kept, so answers
-and their order are those of a scan over every clause. The index
-is built on a program's first query and kept, which is safe because
-:class:`~cologic.terms.Program` is immutable.
+A mode is a pair of clause sets: hypothesis steps resolve with the program
+P, bounded proofs with P plus a co-fact set C as facts, where C is the
+program's co-facts, none (``inductive``) or every atom (``coinductive``).
+Each set is a :class:`cologic.terms.ClauseIndex`, which selects on the
+predicate and arity, then on the first argument the goal has bound,
+keeping every clause whose head has a variable or the same principal
+symbol there. Every skipped clause would clash in head unification, and
+program order is kept, so answers and their order are those of a scan.
+An index is built on the first query that needs it and kept, which is
+safe because :class:`~cologic.terms.Program` is immutable.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ from .errors import EvaluationError, InstantiationError, ResourceLimitError
 from .terms import (
     BUILTIN_SIGNATURES,
     Atom,
+    ClauseIndex,
     Compound,
     Goal,
     Int,
@@ -329,7 +332,8 @@ def _goal_list(atoms: Sequence[Atom], context, rest: _Goals) -> _Goals:
 
 
 def _run(
-    program: Program, config: EngineConfig, store: BindStore, source: VarSource, goals: _Goals
+    index: ClauseIndex, bounded_index: ClauseIndex, config: EngineConfig, store: BindStore,
+    source: VarSource, goals: _Goals,
 ) -> Iterator[None]:
     """Depth-first search over a goal list; yields once per solution.
 
@@ -337,15 +341,14 @@ def _run(
     (``None`` when empty), or the :class:`LfpCounts` of a bounded
     proof. A choice point holds the trail mark, the atom, the goals
     after it, the context of the clause bodies it will push, and its
-    untried alternatives: hypothesis hits (atoms) and clauses of
-    ``program``, the mode's program, whose co-facts bounded proofs use as
-    facts except in ``inductive`` mode. Clauses are renamed with
-    variables from ``source``. The store holds a solution's bindings at
-    each yield; exhausting the search rolls it back to where it started.
+    untried alternatives: hypothesis hits (atoms) and clauses, from
+    ``index`` in the hypothesis stratum and ``bounded_index`` in bounded
+    proofs. Clauses are renamed with variables from ``source``. The store
+    holds a solution's bindings at each yield; exhausting the search rolls
+    it back to where it started.
     """
-    index, resolve = program.index, store.resolve
+    resolve, hyp_cut = store.resolve, config.hyp_cut
     steps_left, revisit_limit = config.step_budget, config.lfp_revisit_limit
-    hyp_cut, lfp_extended = config.hyp_cut, config.mode != "inductive"
     base = store.mark()
     choices: list[tuple[int, Atom, _Goals, object, Iterator]] = []
     while True:
@@ -371,7 +374,7 @@ def _run(
                         counts = context.inserted(_snapshot_atom(atom, store, source), key)
                     else:
                         counts = context.incremented(found)
-                    clauses = index.candidates(atom, lfp_extended, resolve)
+                    clauses = bounded_index.candidates(atom, resolve)
                     choices.append((store.mark(), atom, rest, counts, iter(clauses)))
             else:
                 key = lookup_key(atom, resolve)
@@ -379,7 +382,7 @@ def _run(
                 if hits and hyp_cut:
                     clauses = ()
                 else:
-                    clauses = index.candidates(atom, False, resolve)
+                    clauses = index.candidates(atom, resolve)
                 pushed = KeyedHyps(atom, key, context)
                 choices.append((store.mark(), atom, rest, pushed, chain(hits, clauses)))
         # Backtrack to the newest choice point with an alternative that applies.
@@ -515,14 +518,16 @@ def solve(
         goal, var_names = query, {}
     else:
         goal, var_names = query.goal, query.var_names
-    # Taken before the switch to the universal program, whose co-facts
-    # number their variables above the program's own.
-    source = VarSource(max(program.index.max_var_id, max_var_id(goal)) + 1)
-    if config.mode == "coinductive":
-        program = program.universal
-    context = LfpCounts() if config.mode == "inductive" else None
+    source = VarSource(max(program.next_var_id, max_var_id(goal) + 1))
+    if config.mode == "cofacts":
+        index, bounded_index, context = program.index, program.extended_index, None
+    elif config.mode == "inductive":
+        index, bounded_index, context = program.index, program.index, LfpCounts()
+    else:  # the universal program has P's clauses, so only its extended index is new
+        index, bounded_index, context = program.index, program.universal.extended_index, None
     store = BindStore()
     ordered_vars = [(name, vid) for vid, name in var_names.items()]
-    for _ in _run(program, config, store, source, _goal_list(goal.atoms, context, None)):
+    goals = _goal_list(goal.atoms, context, None)
+    for _ in _run(index, bounded_index, config, store, source, goals):
         equations, names = extract_answer(ordered_vars, store)
         yield Answer(equations, names)

@@ -157,15 +157,11 @@ def ground_instances(
     """
     _require_datalog(clauses)
     built = universe._instances
-    found = [built.get(c) for c in clauses]
-    todo: dict[Clause, list[int]] = {}
-    for c, got in zip(clauses, found):
-        if got is None and c not in todo:
-            todo[c] = sorted(term_vars(c))
+    todo = {c: sorted(term_vars(c)) for c in dict.fromkeys(clauses) if c not in built}
     # Distinct combinations give distinct instances, so a clause with k
     # variables has len(universe.constants) ** k of them, built or not.
     n = len(universe.constants)
-    size = sum(n ** len(todo[c]) if got is None else len(got) for c, got in zip(clauses, found))
+    size = sum(n ** len(todo[c]) if c in todo else len(built[c]) for c in clauses)
     if size > MAX_GROUND_INSTANCES:
         raise UnsupportedProgramError(
             f"grounding needs {size:,} clause instances, more than the oracle's"
@@ -173,7 +169,7 @@ def ground_instances(
         )
     for c, var_ids in todo.items():
         built[c] = _instantiate(c, var_ids, universe.constants)
-    return frozenset().union(*(built[c] if got is None else got for c, got in zip(clauses, found)))
+    return frozenset().union(*(built[c] for c in clauses))
 
 
 def op_step(ground_clauses: Iterable[Clause], interp: frozenset[Atom]) -> frozenset[Atom]:

@@ -4,7 +4,7 @@ Terms are always finite trees here. Rational (cyclic) structure never lives
 inside a ``Term`` value; it is represented by bindings in a
 :class:`cologic.unify.BindStore`. Everything in this module is immutable
 after construction and safe to share across threads. The exceptions are
-filled in on first use: a program's :class:`ClauseIndex` and
+filled in on first use: a program's clause indexes, variable range and
 universal-co-fact program, and a clause's renaming template. Each depends
 only on its owner, so threads that build one concurrently build equal ones.
 
@@ -25,6 +25,7 @@ it ``str``), so any nesting depth works; only ``repr`` still recurses.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence, Union
@@ -279,8 +280,8 @@ class Program:
     (see :mod:`cologic.engine`). ``var_names`` maps variable ids back to
     their source spelling, for printing only.
 
-    Immutable, so the clause index and the universal-co-fact program built
-    on first use stay valid for the program's lifetime.
+    Immutable, so what is built from it on first use stays valid for the
+    program's lifetime.
     """
 
     clauses: tuple[Clause, ...] = ()
@@ -293,8 +294,18 @@ class Program:
 
     @cached_property
     def index(self) -> ClauseIndex:
-        """The program's clause index, built on first use and then kept."""
-        return ClauseIndex(self)
+        """The index of the program's clauses, built on first use and then kept."""
+        return ClauseIndex(self.clauses)
+
+    @cached_property
+    def extended_index(self) -> ClauseIndex:
+        """The index of :meth:`extended`, built on first use and then kept."""
+        return ClauseIndex(self.extended())
+
+    @cached_property
+    def next_var_id(self) -> int:
+        """One above every variable id of the clauses and co-facts, computed on first use."""
+        return max_var_id(*self.clauses, *self.cofacts) + 1
 
     @cached_property
     def universal(self) -> Program:
@@ -323,55 +334,42 @@ def _principal(t: Term):
 
 
 # A group of at most this many clauses is filtered by scanning it; larger
-# groups get a table per argument position, built on first use. Small
-# programs then keep no tables at all.
+# groups get a table per argument position, built on first use. Tables
+# answer a candidates call on the one- and two-clause groups of
+# programs/running_example.colp about 12% faster, but tabling every group
+# raised perfbench corpus's peak RSS from 39.0 to 40.6 MB (2 runs each).
 _SCAN_LIMIT = 8
 
 
 class ClauseIndex:
-    """Candidate clauses for a goal atom, in program order.
+    """Candidate clauses for a goal atom, in the order of a clause sequence.
 
-    Clauses are grouped by predicate and arity, once as the bare clauses
-    and once with the co-facts appended as facts. Within a group the
+    Clauses are grouped by predicate and arity. Within a group the
     selection looks at the first argument position where the goal is bound
     and keeps the clauses whose head has a variable or the goal's principal
-    symbol there; every other clause would clash in head unification. Also
-    holds the program's :func:`max_var_id`.
+    symbol there; every other clause would clash in head unification.
     """
 
-    __slots__ = ("max_var_id", "_groups", "_tables")
+    __slots__ = ("_groups", "_tables")
 
-    def __init__(self, program: Program):
-        self.max_var_id = max_var_id(program)
-        bare: dict[tuple[str, int], list[Clause]] = {}
-        for clause in program.clauses:
-            bare.setdefault((clause.head.predicate, clause.head.arity), []).append(clause)
-        facts: dict[tuple[str, int], list[Clause]] = {}
-        for atom in program.cofacts:
-            facts.setdefault((atom.predicate, atom.arity), []).append(Clause(atom))
-        # (bare, extended) per predicate; one tuple serves both when the
-        # predicate has no co-facts.
-        self._groups: dict[tuple[str, int], tuple[tuple[Clause, ...], tuple[Clause, ...]]] = {}
-        for key in bare.keys() | facts.keys():
-            clauses = tuple(bare.get(key, ()))
-            self._groups[key] = (clauses, clauses + tuple(facts[key]) if key in facts else clauses)
-        # (predicate, arity, extended, position) -> (principal symbol ->
-        # positions of the clauses with it, positions of the clauses with a variable)
+    def __init__(self, clauses: Iterable[Clause]):
+        groups: dict[tuple[str, int], list[Clause]] = {}
+        for clause in clauses:
+            groups.setdefault((clause.head.predicate, clause.head.arity), []).append(clause)
+        self._groups = {key: tuple(group) for key, group in groups.items()}
+        # (predicate, arity, position) -> (principal symbol -> positions of
+        # the clauses with it, positions of the clauses with a variable)
         self._tables: dict[tuple, tuple[dict, tuple[int, ...]]] = {}
 
-    def candidates(
-        self, atom: Atom, extended: bool, resolve: Callable[[Term], Term]
-    ) -> Sequence[Clause]:
-        """The clauses whose head may unify with ``atom``, in program order.
+    def candidates(self, atom: Atom, resolve: Callable[[Term], Term]) -> Sequence[Clause]:
+        """The clauses whose head may unify with ``atom``, in sequence order.
 
-        ``extended`` selects the clauses plus the co-facts as facts;
         ``resolve`` dereferences a goal argument one level (see
         :meth:`cologic.unify.BindStore.resolve`).
         """
-        group = self._groups.get((atom.predicate, len(atom.args)))
-        if group is None:
+        clauses = self._groups.get((atom.predicate, len(atom.args)))
+        if clauses is None:
             return ()
-        clauses = group[extended]
         for position, arg in enumerate(atom.args):
             symbol = _principal(resolve(arg))
             if symbol is not None:
@@ -380,7 +378,7 @@ class ClauseIndex:
             return clauses
         if len(clauses) <= _SCAN_LIMIT:
             return [c for c in clauses if _principal(c.head.args[position]) in (None, symbol)]
-        key = (atom.predicate, len(atom.args), extended, position)
+        key = (atom.predicate, len(atom.args), position)
         table = self._tables.get(key)
         if table is None:
             table = self._tables[key] = _position_table(clauses, position)
@@ -492,52 +490,40 @@ def _compile_clause(clause: Clause) -> tuple | None:
     variable's number, a ground term itself, or, for a compound holding a
     variable, a tuple of postfix operations: a number pushes that
     variable, ``(functor, arity)`` pops its arguments and pushes the
-    compound, and anything else is a ground term pushed as is. Both passes
-    keep their own stacks, so term depth is not limited by the recursion
-    limit.
+    compound, and anything else is a ground term pushed as is. Each
+    argument is walked once, in postorder on its own stack, so term depth
+    is not limited by the recursion limit. A finished compound whose
+    arguments each emitted only themselves is ground, and it replaces
+    their entries.
     """
-    atoms = (clause.head, *clause.body)
-    # Pass 1, bottom-up: the compound nodes that hold a variable.
-    open_ids: set[int] = set()
-    visited: set[int] = set()
-    todo: list[tuple[Term, bool]] = [(t, False) for a in atoms for t in a.args]
-    while todo:
-        t, children_done = todo.pop()
-        if not isinstance(t, Compound) or not t.args:
-            continue
-        if children_done:
-            if any(isinstance(a, Var) or id(a) in open_ids for a in t.args):
-                open_ids.add(id(t))
-        elif id(t) not in visited:
-            visited.add(id(t))
-            todo.append((t, True))
-            todo.extend((a, False) for a in t.args)
-    # Pass 2, preorder: number the variables and emit each argument's template.
     numbers: dict[int, int] = {}
-
-    def argument(t: Term):
-        code: list = []
-        pending: list = [t]
-        while pending:
-            x = pending.pop()
-            if type(x) is tuple:
-                code.append(x)
-            elif isinstance(x, Var):
-                code.append(numbers.setdefault(x.id, len(numbers)))
-            elif id(x) in open_ids:
-                pending.append((x.functor, len(x.args)))
-                pending.extend(reversed(x.args))
-            else:
-                code.append(x)
-        # A variable or a ground term stands for itself; a compound needs its program.
-        return code[0] if len(code) == 1 else tuple(code)
-
     templates = []
-    for a in atoms:
-        if any(isinstance(t, Var) or id(t) in open_ids for t in a.args):
-            templates.append((a.predicate, tuple(argument(t) for t in a.args)))
-        else:
-            templates.append(a)
+    for atom in (clause.head, *clause.body):
+        args = []
+        for t in atom.args:
+            code: list = []
+            todo: list = [t]
+            while todo:
+                x = todo.pop()
+                if x.__class__ is Var:
+                    code.append(numbers.setdefault(x.id, len(numbers)))
+                elif x.__class__ is Compound and x.args:
+                    todo.append((x, len(code)))
+                    todo.extend(reversed(x.args))
+                elif x.__class__ is tuple:  # a compound, all its arguments emitted
+                    x, start = x
+                    n = len(x.args)
+                    if len(code) - start == n and all(map(operator.is_, code[start:], x.args)):
+                        del code[start:]
+                        code.append(x)
+                    else:
+                        code.append((x.functor, n))
+                else:
+                    code.append(x)
+            # A variable or a ground term stands for itself; a compound needs its program.
+            args.append(code[0] if len(code) == 1 else tuple(code))
+        ground = all(map(operator.is_, args, atom.args))
+        templates.append(atom if ground else (atom.predicate, tuple(args)))
     if not numbers:
         return None
     return len(numbers), templates[0], tuple(templates[1:])
@@ -565,23 +551,13 @@ def term_vars(x) -> set[int]:
 def max_var_id(*items) -> int:
     """Largest variable id occurring in the given items; -1 if there are none.
 
-    Accepts terms, atoms, clauses, goals, and programs.
+    Accepts terms, atoms, clauses and goals.
     """
     best = -1
     for item in items:
-        if isinstance(item, Program):
-            for clause in item.clauses:
-                vs = term_vars(clause)
-                if vs:
-                    best = max(best, max(vs))
-            for cofact in item.cofacts:
-                vs = term_vars(cofact)
-                if vs:
-                    best = max(best, max(vs))
-        else:
-            vs = term_vars(item)
-            if vs:
-                best = max(best, max(vs))
+        vs = term_vars(item)
+        if vs:
+            best = max(best, max(vs))
     return best
 
 
@@ -592,7 +568,7 @@ def with_universal_cofacts(program: Program) -> Program:
     atom space, which turns co-fact semantics into plain coinductive
     semantics.
     """
-    source = VarSource(max_var_id(program) + 1)
+    source = VarSource(program.next_var_id)
     extra = tuple(
         Atom(name, tuple(source.fresh() for _ in range(arity)))
         for name, arity in sorted(program.predicates())

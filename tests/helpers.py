@@ -433,9 +433,12 @@ def run_goals(
 
     The goals run in the bounded stratum under ``counts`` when it is given,
     else in the hypothesis stratum under ``hyps(hypotheses, store)``.
-    ``program`` is used as given, whatever the mode. Fresh variables start
+    Whatever ``config.mode`` says, the clause sets are those of ``cofacts``
+    mode: ``program.index`` for hypothesis steps and
+    ``program.extended_index`` for bounded proofs. Fresh variables start
     above every variable of the program, the goals and the hypotheses.
     """
     context = hyps(hypotheses, store) if counts is None else counts
-    source = VarSource(max(program.index.max_var_id, max_var_id(*atoms, *hypotheses)) + 1)
-    return engine._run(program, config, store, source, engine._goal_list(atoms, context, None))
+    source = VarSource(max(program.next_var_id, max_var_id(*atoms, *hypotheses) + 1))
+    goals = engine._goal_list(atoms, context, None)
+    return engine._run(program.index, program.extended_index, config, store, source, goals)

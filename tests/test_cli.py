@@ -9,10 +9,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import cologic
 from cologic import Answer, Compound, EngineConfig, Int, Var
 from cologic.cli import format_answer, main, oracle_report, run_file
+from cologic.engine import MODES
 from helpers import PQ_EXAMPLE, RUNNING_EXAMPLE
 
 MAX_QUERY = "?- L = [1,2|L], max(L, M)."
@@ -363,3 +366,58 @@ def test_cyclic_arithmetic_exit_2_one_line(running_path, query):
     assert run.returncode == 2
     assert run.stderr.splitlines() == ["cyclic term in arithmetic"]
     assert run.stdout == "true.\n"  # later queries still run
+
+
+# Random command lines: program and query text from a small grammar or from
+# noise, with every flag. A budget of at most 200 steps makes every run end.
+_NOISE = "ap X01,.()[]|:-=<>%\n\t \\٣é"
+_TERMS = st.recursive(
+    st.sampled_from(["X", "Y", "L", "a", "b", "0", "1", "-2", "[]"]),
+    lambda sub: st.one_of(st.builds("f({})".format, sub), st.builds("[{}|{}]".format, sub, sub),
+                          st.builds("[{}, {}]".format, sub, sub), st.builds("{} + {}".format, sub, sub)),
+    max_leaves=5,
+)
+_ATOMS = st.one_of(
+    st.sampled_from(["true", "fail", "p"]),
+    st.builds("p({})".format, _TERMS),
+    st.builds("{}({}, {})".format, st.sampled_from(["q", "member", "max", "all_pos"]), _TERMS, _TERMS),
+    st.builds("{} {} {}".format, _TERMS, st.sampled_from(["=", "\\=", "is", "<", "=:="]), _TERMS),
+)
+_BODIES = st.lists(_ATOMS, min_size=1, max_size=2).map(", ".join)
+_PROGRAMS = st.one_of(
+    st.lists(st.one_of(st.builds("{}.".format, _ATOMS), st.builds("{} :- {}.".format, _ATOMS, _BODIES),
+                       st.builds("cofact({}).".format, _ATOMS)), max_size=6).map("\n".join),
+    st.text(_NOISE, max_size=40),
+    st.just(RUNNING_EXAMPLE),
+)
+_QUERIES = st.one_of(st.builds("?- {}.".format, _BODIES), st.text(_NOISE, max_size=30))
+_FLAGS = st.tuples(
+    st.builds("--mode={}".format, st.sampled_from(MODES)),
+    st.builds("--budget={}".format, st.integers(0, 200)),
+    st.lists(st.sampled_from(["--revisit-limit=1", "--revisit-limit=2", "--revisit-limit=3",
+                              "--no-hyp-cut"]), max_size=2),
+)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(program=_PROGRAMS, queries=st.lists(_QUERIES, min_size=1, max_size=2), flags=_FLAGS,
+       all_answers=st.booleans(), oracle=st.booleans())
+def test_random_command_lines_keep_the_error_contract(
+    tmp_path, monkeypatch, capsys, program, queries, flags, all_answers, oracle
+):
+    path = tmp_path / "random.colp"
+    path.write_text(program, encoding="utf-8")
+    mode, budget, extra = flags
+    argv = [str(path), mode, budget, *extra, *(f"--query={q}" for q in queries)]
+    argv += ["--all"] * all_answers + ["--oracle"] * oracle
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejected the command line
+        code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+    # The same texts as REPL input lines, answered with ";" to ask for more.
+    lines = [line for q in queries for line in (q, ";")] + [":oracle"] * oracle
+    code, captured = _run_repl(monkeypatch, capsys, lines, [str(path), mode, budget, *extra])
+    assert code == 0
+    assert "Traceback" not in captured.err

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import operator
 
 import pytest
 from hypothesis import given
@@ -534,6 +535,27 @@ def test_coinductive_mode_builds_universal_program_once(monkeypatch):
     assert program.universal is program.universal
 
 
+def test_each_mode_builds_only_its_indexes_once():
+    text = "p(X) :- q(X), p(X).  q(1).  cofact(p(1))."
+    program = parse_program(text)
+    assert not succeeds(program, "p(1).", mode="inductive")  # the co-fact is not a fact here
+    assert "index" in program.__dict__
+    assert "extended_index" not in program.__dict__
+    assert "universal" not in program.__dict__
+
+    program = parse_program(text)
+    names = ("index", "extended_index", "next_var_id")
+    built = []
+    for _ in range(2):
+        assert succeeds(program, "p(1).", mode="cofacts")
+        assert succeeds(program, "p(1).", mode="coinductive")
+        built.append([program.__dict__[name] for name in names]
+                     + [program.universal.__dict__["extended_index"]])
+    assert all(map(operator.is_, *built))
+    # The universal program's clauses are the program's: its bare index is never needed.
+    assert "index" not in program.universal.__dict__
+
+
 MODE_COHERENCE_CORPUS = [
     # Engine-level inductive == cofacts-with-empty-cofacts holds on this
     # curated corpus. It is not a theorem: the hypothesis cut can lose
@@ -793,7 +815,7 @@ def test_index_keeps_program_order_in_every_mode(indexed, mode):
 def test_index_selects_on_the_first_bound_position(indexed):
     program, _ = indexed
     goal = Atom("k", (Var(1000), Compound("const")))
-    assert _labels(program.index.candidates(goal, False, BindStore().resolve)) == ["const"]
+    assert _labels(program.index.candidates(goal, BindStore().resolve)) == ["const"]
     assert _column(program, "?- k(A, const).", "A") == ["a"]
     assert _column(program, "?- k(A, var2).", "A") == ["A"]  # left unbound
 
@@ -804,7 +826,7 @@ def test_index_dereferences_an_alias_chain(indexed):
     X, Y, Z = Var(1000), Var(1001), Var(1002)
     assert unify(X, Y, store) and unify(Y, Z, store) and unify(Z, Compound("a"), store)
     goal = Atom("k", (X, Var(1003)))
-    assert _labels(program.index.candidates(goal, False, store.resolve)) == [
+    assert _labels(program.index.candidates(goal, store.resolve)) == [
         "var", "const", "const2", "var2"]
     query = "?- X = Y, Y = Z, Z = a, k(X, B)."
     assert _column(program, query, "B") == ["var", "const", "const2", "var2"]
@@ -828,8 +850,8 @@ def test_index_cofacts_last_in_bounded_stratum_only(indexed):
         assert [render_term(store.resolve(B)) for _ in runs] == expected
     store = BindStore()
     goal = Atom("k", (Compound("a"), Var(1000)))
-    assert _labels(program.index.candidates(goal, True, store.resolve))[-1] == "cofact"
-    assert "cofact" not in _labels(program.index.candidates(goal, False, store.resolve))
+    assert _labels(program.extended_index.candidates(goal, store.resolve))[-1] == "cofact"
+    assert "cofact" not in _labels(program.index.candidates(goal, store.resolve))
 
 
 def test_program_is_immutable(indexed):

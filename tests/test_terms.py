@@ -162,9 +162,10 @@ def test_max_var_id():
     assert max_var_id(Int(3)) == -1
     assert max_var_id(Compound("f", (Var(4), Var(2)))) == 4
     program = parse_program("p(X) :- q(X).  cofact(r(_)).")
-    assert max_var_id(program) == max(
+    assert max_var_id(*program.clauses, *program.cofacts) == max(
         max(term_vars(program.clauses[0])), max(term_vars(program.cofacts[0]))
     )
+    assert program.next_var_id == max_var_id(*program.clauses, *program.cofacts) + 1
 
 
 def test_with_universal_cofacts():
@@ -175,7 +176,7 @@ def test_with_universal_cofacts():
     for a in added:
         vs = term_vars(a)
         assert len(vs) == a.arity  # all-distinct variable arguments
-        assert all(v > max_var_id(program) for v in vs)
+        assert all(v >= program.next_var_id for v in vs)
     # original clauses and cofacts untouched, appended after
     assert extended.clauses == program.clauses
     assert extended.cofacts[: len(program.cofacts)] == program.cofacts
