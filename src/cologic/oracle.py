@@ -16,6 +16,7 @@ finite and every fixed point is directly computable by naive iteration:
   inside the generated semantics.
 
 This module is the ground truth that the search engine is tested against.
+It grounds clauses through their renaming template (:func:`ground_instances`).
 """
 
 from __future__ import annotations
@@ -34,10 +35,12 @@ from .terms import (
     Program,
     Term,
     Var,
+    _compile_clause,
+    _instantiate,
+    clause_predicates,
     render_atom,
     render_clause,
     render_term,
-    term_vars,
 )
 
 _DUMMY_CONSTANT: Term = Compound("a")
@@ -110,65 +113,36 @@ def _require_datalog(clauses: Iterable[Clause]) -> None:
                     )
 
 
-def _instantiate(
-    clause: Clause, var_ids: list[int], constants: tuple[Term, ...]
-) -> frozenset[Clause]:
-    """Every instance of one datalog clause, its variables ranging over ``constants``.
-
-    Each argument is a variable or a constant, so each atom becomes a
-    template of positions in the variables' values followed by the
-    clause's constants, and an instance reads its arguments off that tuple.
-    """
-    if not var_ids:
-        return frozenset((clause,))
-    slot = {vid: i for i, vid in enumerate(var_ids)}
-    fixed: list[Term] = []
-    templates = []
-    for atom in (clause.head, *clause.body):
-        positions = []
-        for t in atom.args:
-            if isinstance(t, Var):
-                positions.append(slot[t.id])
-            else:
-                positions.append(len(var_ids) + len(fixed))
-                fixed.append(t)
-        templates.append((atom.predicate, tuple(positions)))
-    (head_name, head_positions), *body = templates
-    tail = tuple(fixed)
-    out: set[Clause] = set()
-    for combo in itertools.product(constants, repeat=len(var_ids)):
-        value = (combo + tail).__getitem__
-        out.add(Clause(
-            Atom(head_name, tuple(map(value, head_positions))),
-            tuple([Atom(name, tuple(map(value, positions))) for name, positions in body]),
-        ))
-    return frozenset(out)
-
-
 def ground_instances(
     clauses: Sequence[Clause], universe: GroundUniverse
 ) -> frozenset[Clause]:
     """All instantiations of the clauses' variables by universe constants.
 
-    Instances are built once per clause and universe, and kept on the
-    universe. Raises :class:`UnsupportedProgramError`, before building
-    anything, when the given clauses have more than
-    ``MAX_GROUND_INSTANCES`` instances in all.
+    Each combination of constants fills the variable slots of a clause's
+    renaming template (:func:`cologic.terms._compile_clause`). A ground
+    clause compiles to None: its template is its own atoms, with no slots,
+    so it is its own single instance. Instances are built once per clause
+    and universe, and kept on the universe. Raises
+    :class:`UnsupportedProgramError`, before building anything, when the
+    given clauses have more than ``MAX_GROUND_INSTANCES`` instances in all.
     """
     _require_datalog(clauses)
     built = universe._instances
-    todo = {c: sorted(term_vars(c)) for c in dict.fromkeys(clauses) if c not in built}
+    todo = {c: _compile_clause(c) or (0, c.head, c.body) for c in dict.fromkeys(clauses) if c not in built}
     # Distinct combinations give distinct instances, so a clause with k
     # variables has len(universe.constants) ** k of them, built or not.
     n = len(universe.constants)
-    size = sum(n ** len(todo[c]) if c in todo else len(built[c]) for c in clauses)
+    size = sum(n ** todo[c][0] if c in todo else len(built[c]) for c in clauses)
     if size > MAX_GROUND_INSTANCES:
         raise UnsupportedProgramError(
             f"grounding needs {size:,} clause instances, more than the oracle's"
             f" limit of {MAX_GROUND_INSTANCES:,}"
         )
-    for c, var_ids in todo.items():
-        built[c] = _instantiate(c, var_ids, universe.constants)
+    for c, (k, head, body) in todo.items():
+        built[c] = frozenset([
+            Clause(_instantiate(head, combo), tuple([_instantiate(b, combo) for b in body]))
+            for combo in itertools.product(universe.constants, repeat=k)
+        ])
     return frozenset().union(*(built[c] for c in clauses))
 
 
@@ -179,13 +153,9 @@ def op_step(ground_clauses: Iterable[Clause], interp: frozenset[Atom]) -> frozen
 
 def herbrand_base(clauses: Sequence[Clause], universe: GroundUniverse) -> frozenset[Atom]:
     """Every ground atom over the clauses' predicates and the universe."""
-    preds: set[tuple[str, int]] = set()
-    for clause in clauses:
-        for atom in (clause.head, *clause.body):
-            preds.add((atom.predicate, atom.arity))
     return frozenset(
         Atom(name, combo)
-        for name, arity in preds
+        for name, arity in clause_predicates(clauses)
         for combo in itertools.product(universe.constants, repeat=arity)
     )
 

@@ -314,14 +314,7 @@ class Program:
 
     def predicates(self) -> set[tuple[str, int]]:
         """All (name, arity) pairs occurring in clause heads, bodies, or co-facts."""
-        preds: set[tuple[str, int]] = set()
-        for clause in self.clauses:
-            preds.add((clause.head.predicate, clause.head.arity))
-            for atom in clause.body:
-                preds.add((atom.predicate, atom.arity))
-        for atom in self.cofacts:
-            preds.add((atom.predicate, atom.arity))
-        return preds
+        return clause_predicates(self.extended())
 
 
 def _principal(t: Term):
@@ -454,7 +447,7 @@ def fresh_rename(clause: Clause, source: VarSource) -> Clause:
     return Clause(_instantiate(head, variables), tuple([_instantiate(b, variables) for b in body]))
 
 
-def _instantiate(template, variables: list[Var]) -> Atom:
+def _instantiate(template, variables: Sequence[Term]) -> Atom:
     if type(template) is Atom:
         return template
     predicate, args = template
@@ -464,7 +457,7 @@ def _instantiate(template, variables: list[Var]) -> Atom:
     ]))
 
 
-def _build(code: tuple, variables: list[Var]) -> Term:
+def _build(code: tuple, variables: Sequence[Term]) -> Term:
     """Run a postfix term program (see :func:`_compile_clause`)."""
     stack: list[Term] = []
     for op in code:
@@ -494,7 +487,8 @@ def _compile_clause(clause: Clause) -> tuple | None:
     argument is walked once, in postorder on its own stack, so term depth
     is not limited by the recursion limit. A finished compound whose
     arguments each emitted only themselves is ground, and it replaces
-    their entries.
+    their entries. :func:`fresh_rename` fills the slots with fresh
+    variables, and :func:`cologic.oracle.ground_instances` with constants.
     """
     numbers: dict[int, int] = {}
     templates = []
@@ -529,15 +523,19 @@ def _compile_clause(clause: Clause) -> tuple | None:
     return len(numbers), templates[0], tuple(templates[1:])
 
 
-def term_vars(x) -> set[int]:
-    """The set of variable identifiers occurring in a term, atom, clause, or goal."""
-    out: set[int] = set()
-    stack = [x]
+def max_var_id(*items) -> int:
+    """Largest variable id occurring in the given items; -1 if there are none.
+
+    Accepts terms, atoms, clauses and goals.
+    """
+    best = -1
+    stack = list(items)
     while stack:
         t = stack.pop()
         cls = t.__class__
         if cls is Var:
-            out.add(t.id)
+            if t.id > best:
+                best = t.id
         elif cls is Compound or cls is Atom:
             stack.extend(t.args)
         elif cls is Clause:
@@ -545,33 +543,25 @@ def term_vars(x) -> set[int]:
             stack.extend(t.body)
         elif cls is Goal:
             stack.extend(t.atoms)
-    return out
-
-
-def max_var_id(*items) -> int:
-    """Largest variable id occurring in the given items; -1 if there are none.
-
-    Accepts terms, atoms, clauses and goals.
-    """
-    best = -1
-    for item in items:
-        vs = term_vars(item)
-        if vs:
-            best = max(best, max(vs))
     return best
 
 
+def clause_predicates(clauses: Iterable[Clause]) -> set[tuple[str, int]]:
+    """All (name, arity) pairs occurring in the clauses' heads and bodies."""
+    return {(atom.predicate, atom.arity) for clause in clauses for atom in (clause.head, *clause.body)}
+
+
 def with_universal_cofacts(program: Program) -> Program:
-    """Adjoin a co-fact ``q(_, ..., _)`` for every predicate of the program.
+    """Adjoin a co-fact ``q(_, ..., _)`` for every non-builtin predicate of the program.
 
     Ground instances of the resulting co-fact set cover the whole ground
     atom space, which turns co-fact semantics into plain coinductive
-    semantics.
+    semantics. Builtins get none, as no clause lookup ever reaches them.
     """
     source = VarSource(program.next_var_id)
     extra = tuple(
         Atom(name, tuple(source.fresh() for _ in range(arity)))
-        for name, arity in sorted(program.predicates())
+        for name, arity in sorted(program.predicates() - BUILTIN_SIGNATURES)
     )
     return Program(program.clauses, program.cofacts + extra, dict(program.var_names))
 

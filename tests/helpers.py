@@ -72,6 +72,25 @@ def substitute(x, mapping: dict[int, Term]):
     raise TypeError(f"cannot substitute into {type(x).__name__}")
 
 
+def term_vars(x) -> set[int]:
+    """The set of variable identifiers occurring in a term, atom, clause, or goal."""
+    out: set[int] = set()
+    stack = [x]
+    while stack:
+        t = stack.pop()
+        cls = t.__class__
+        if cls is Var:
+            out.add(t.id)
+        elif cls is Compound or cls is Atom:
+            stack.extend(t.args)
+        elif cls is Clause:
+            stack.append(t.head)
+            stack.extend(t.body)
+        elif cls is Goal:
+            stack.extend(t.atoms)
+    return out
+
+
 def reference_rename(clause: Clause, source: VarSource) -> Clause:
     """Rename a clause by plain recursion: the reference for :func:`cologic.terms.fresh_rename`.
 

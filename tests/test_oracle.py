@@ -27,9 +27,9 @@ from cologic import (
 from cologic import oracle
 from cologic.cli import oracle_report
 from cologic.oracle import ground_instances, herbrand_base, op_step
-from cologic.terms import term_vars, with_universal_cofacts
+from cologic.terms import with_universal_cofacts
 from corpus import corpus
-from helpers import PQ_EXAMPLE, atom, substitute
+from helpers import PQ_EXAMPLE, atom, substitute, term_vars
 
 
 @pytest.fixture(scope="module")
@@ -99,15 +99,16 @@ def test_oversized_grounding_is_refused(monkeypatch):
 
 
 def test_one_report_instantiates_each_clause_once(monkeypatch):
-    # Each instantiation of a clause collects its variables once, so the
-    # calls of term_vars count the instantiations of each clause.
+    # Each instantiation of a clause compiles its template once, so the
+    # calls of _compile_clause count the instantiations of each clause.
     seen: Counter = Counter()
+    compile_clause = oracle._compile_clause
 
-    def counting_term_vars(x):
+    def counting_compile(x):
         seen[x] += 1
-        return term_vars(x)
+        return compile_clause(x)
 
-    monkeypatch.setattr(oracle, "term_vars", counting_term_vars)
+    monkeypatch.setattr(oracle, "_compile_clause", counting_compile)
     for program in [parse_program(PQ_EXAMPLE), *corpus(seed=28, count=20)]:
         seen.clear()
         oracle_report(program)

@@ -22,9 +22,8 @@ from cologic import (
     render_program,
     render_term,
 )
-from cologic.terms import term_vars
 from corpus import random_datalog_program
-from helpers import PQ_EXAMPLE, RUNNING_EXAMPLE, alpha_equal_clause, alpha_equal_program
+from helpers import PQ_EXAMPLE, RUNNING_EXAMPLE, alpha_equal_clause, alpha_equal_program, term_vars
 
 
 def test_running_example_counts():

@@ -14,6 +14,7 @@ from cologic import (
     Clause,
     CologicError,
     Compound,
+    Goal,
     Int,
     Term,
     Var,
@@ -27,11 +28,17 @@ from cologic.terms import (
     VarSource,
     fresh_rename,
     max_var_id,
-    term_vars,
     with_universal_cofacts,
 )
 from cologic.cli import main
-from helpers import alpha_equal_clause, canon_clause, reference_rename, reference_render_term, substitute
+from helpers import (
+    alpha_equal_clause,
+    canon_clause,
+    reference_rename,
+    reference_render_term,
+    substitute,
+    term_vars,
+)
 
 
 def test_fresh_rename_single_variable_forced():
@@ -168,10 +175,35 @@ def test_max_var_id():
     assert program.next_var_id == max_var_id(*program.clauses, *program.cofacts) + 1
 
 
+numbered_terms = st.recursive(
+    st.integers(-9, 9).map(Int) | st.integers(0, 60).map(Var) | st.just(Compound("a")),
+    lambda sub: st.builds(
+        Compound, st.sampled_from(["f", "."]), st.lists(sub, min_size=1, max_size=3).map(tuple)
+    ),
+    max_leaves=8,
+)
+numbered_atoms = st.builds(Atom, st.sampled_from(["p", "q"]), st.lists(numbered_terms, max_size=3).map(tuple))
+
+
+@given(st.lists(
+    numbered_terms
+    | numbered_atoms
+    | st.builds(Clause, numbered_atoms, st.lists(numbered_atoms, max_size=3).map(tuple))
+    | st.builds(Goal, st.lists(numbered_atoms, max_size=3).map(tuple)),
+    max_size=4,
+))
+def test_max_var_id_is_the_largest_collected_id(items):
+    # Variable-free items (Int leaves, the constant a, atoms without
+    # arguments, the empty goal) come up too, alone or among others.
+    assert max_var_id(*items) == max((v for x in items for v in term_vars(x)), default=-1)
+
+
 def test_with_universal_cofacts():
-    program = parse_program("p(X) :- q(X, 0).  cofact(p(1)).")
+    program = parse_program("p(X) :- q(X, 0), X > 0.  cofact(p(1)).")
     extended = with_universal_cofacts(program)
     added = extended.cofacts[len(program.cofacts):]
+    # The engine evaluates X > 0 without clauses, so >/2 gets no co-fact.
+    assert (">", 2) in program.predicates()
     assert [(a.predicate, a.arity) for a in added] == [("p", 1), ("q", 2)]
     for a in added:
         vs = term_vars(a)

@@ -5,13 +5,19 @@ Run from anywhere, naming the checkout to count::
     python3 tools/loc.py --checkout .
 
 For every ``<checkout>/src/cologic/*.py`` it prints one line: the file
-name, its ``wc -l`` count and its code lines, then a ``total`` line. A
-code line holds a token that is neither a comment nor part of a
-docstring (the first statement of a module, class or function, when it
-is a string, as :mod:`ast` finds them), so blank lines, comment-only
-lines and docstring lines do not count. Deleting comments or docstrings
-leaves the code count where it was; compare checkouts with the same copy
-of this tool.
+name, its ``wc -l`` count, its code lines and its compile time, then a
+``total`` line. A code line holds a token that is neither a comment nor
+part of a docstring (the first statement of a module, class or function,
+when it is a string, as :mod:`ast` finds them), so blank lines,
+comment-only lines and docstring lines do not count. Deleting comments
+or docstrings leaves the code count where it was; compare checkouts with
+the same copy of this tool.
+
+The compile time is the median of 5 runs of :func:`compile` on the
+file's text, in milliseconds, and its total is the sum of the printed
+values. Where no bytecode is cached, as when ``PYTHONDONTWRITEBYTECODE``
+is set, every fresh import of cologic pays it, and perfbench's
+``setup_s`` imports cologic afresh on each repeat.
 
 Uses the standard library only.
 """
@@ -21,8 +27,12 @@ from __future__ import annotations
 import argparse
 import ast
 import io
+import statistics
 import tokenize
 from pathlib import Path
+from time import perf_counter
+
+COMPILE_RUNS = 5
 
 # Tokens that make no line a code line on their own.
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -54,18 +64,31 @@ def count(text: str) -> tuple[int, int]:
     return text.count("\n"), len(code)
 
 
+def compile_ms(text: str, filename: str) -> float:
+    """Median wall time of :data:`COMPILE_RUNS` ``compile()`` runs of a source text, in ms."""
+    times = []
+    for _ in range(COMPILE_RUNS):
+        start = perf_counter()
+        compile(text, filename, "exec")
+        times.append(perf_counter() - start)
+    return statistics.median(times) * 1000
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", type=Path, default=Path("."),
                         help="repository whose src/cologic to count (default: .)")
     args = parser.parse_args(argv)
-    total_wc = total_code = 0
+    total_wc = total_code = total_ms = 0
     for path in sorted((args.checkout / "src" / "cologic").glob("*.py")):
-        wc, code = count(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        wc, code = count(text)
+        ms = round(compile_ms(text, str(path)), 3)
         total_wc += wc
         total_code += code
-        print(f"{path.name:<14} {wc:>6} {code:>6}")
-    print(f"{'total':<14} {total_wc:>6} {total_code:>6}")
+        total_ms += ms
+        print(f"{path.name:<14} {wc:>6} {code:>6} {ms:>8.3f}")
+    print(f"{'total':<14} {total_wc:>6} {total_code:>6} {total_ms:>8.3f}")
 
 
 if __name__ == "__main__":
