@@ -1,4 +1,4 @@
-"""Line counts of cologic's source, per file and in total.
+"""Line counts and compile times of cologic's source, per file and in total.
 
 Run from anywhere, naming the checkout to count::
 
