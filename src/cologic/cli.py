@@ -215,11 +215,15 @@ def main(argv: list[str] | None = None) -> int:
         help="print the declarative-semantics report for the loaded program",
     )
     args = parser.parse_args(argv)
-    limits = (("--revisit-limit", args.revisit_limit, 1), ("--budget", args.budget, 0))
-    for flag, value, least in limits:
-        if value is not None and value < least:
-            # Reported like any other error; argparse.error would raise
-            # SystemExit, which escapes callers that run main in-process.
+    options = (("--revisit-limit", args.revisit_limit, 1), ("--budget", args.budget, 0),
+               ("--mode", args.mode, None), *[("--query", text, None) for text in args.query])
+    for flag, value, least in options:
+        # Reported like any other error; argparse.error would raise
+        # SystemExit, which escapes callers that run main in-process.
+        if isinstance(value, list):  # argparse reads an attached "--" value as []
+            print(f"cologic: {flag} needs a value, not '--'", file=sys.stderr)
+            return 2
+        if isinstance(value, int) and value < least:
             print(f"cologic: {flag} must be >= {least}", file=sys.stderr)
             return 2
     config = EngineConfig(

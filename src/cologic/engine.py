@@ -11,15 +11,15 @@ Each step selects the first goal and charges the step budget. Builtins
 never enter the hypothesis set or the revisit counts. For any other atom,
 the goal's context picks the stratum:
 
-* Hypothesis stratum (context: a :class:`KeyedHyps` chain, ``None`` when
-  empty): the atoms selected along the current branch are carried as
-  *coinductive hypotheses*. A goal atom that unifies with a hypothesis
-  does not simply succeed (as in plain coinductive resolution); instead
-  a standard SLD resolution of that atom is triggered in the program
-  enriched by its co-facts. With ``hyp_cut`` (the default) an atom that
-  unifies with some hypothesis never falls through to ordinary clause
-  resolution, which curbs divergence at the price of missing some
-  answers.
+* Hypothesis stratum (context: a chain of ``(atom, key, older)`` tuples,
+  ``None`` when empty): the atoms selected along the current branch are
+  carried as *coinductive hypotheses*. A goal atom that unifies with a
+  hypothesis does not simply succeed (as in plain coinductive
+  resolution); instead a standard SLD resolution of that atom is
+  triggered in the program enriched by its co-facts. With ``hyp_cut``
+  (the default) an atom that unifies with some hypothesis never falls
+  through to ordinary clause resolution, which curbs divergence at the
+  price of missing some answers.
 
 * Bounded SLD stratum (context: :class:`LfpCounts`): ordinary SLD over
   the clauses plus the co-facts as plain facts, except that an atom whose
@@ -48,8 +48,8 @@ trial-unifies only the entries whose key fits the goal's, in the order
 of a scan. Keying under the bindings of the push is sound: every goal
 that sees the context runs at or above that choice point's trail mark,
 so its bindings only extend the ones the keys were taken under. Contexts
-stay persistent: a :class:`KeyedHyps` node or an :class:`LfpCounts` value
-is never changed once built.
+stay persistent: a hypothesis tuple or an :class:`LfpCounts` value is
+never changed once built.
 
 A mode is a pair of clause sets: hypothesis steps resolve with the program
 P, bounded proofs with P plus a co-fact set C as facts, where C is the
@@ -247,23 +247,7 @@ def keys_fit(a: tuple, b: tuple) -> bool:
     return a == b[:len(a)]
 
 
-class KeyedHyps:
-    """A hypothesis context: a linked list, most recent first; ``None`` is empty.
-
-    Each node holds a hypothesis with the :func:`lookup_key` it had when
-    it was pushed. Bindings only grow while a context is in use, so a key
-    may fall short of its atom's current key but never contradicts it.
-    """
-
-    __slots__ = ("atom", "key", "older")
-
-    def __init__(self, atom: Atom, key: tuple, older: "KeyedHyps | None"):
-        self.atom = atom
-        self.key = key
-        self.older = older
-
-
-def hyp_lookup(atom: Atom, hyps: KeyedHyps | None, store: BindStore, key: tuple) -> list[Atom]:
+def hyp_lookup(atom: Atom, hyps: _Hyps, store: BindStore, key: tuple) -> list[Atom]:
     """Hypotheses whose trial unification with ``atom`` succeeds, most recent first.
 
     Only the hypotheses whose key fits ``key``, the goal's
@@ -273,14 +257,12 @@ def hyp_lookup(atom: Atom, hyps: KeyedHyps | None, store: BindStore, key: tuple)
     n = len(key)
     out = []
     while hyps is not None:
-        k = hyps.key
+        h, k, hyps = hyps
         if k == key or (len(k) != n and keys_fit(k, key)):
-            h = hyps.atom
             start = store.mark()
             if unify_atoms(atom, h, store):
                 out.append(h)
             store.rollback(start)
-        hyps = hyps.older
     return out
 
 
@@ -322,6 +304,11 @@ class LfpCounts:
 
 # A goal list: None when empty, else ``(atom, context, rest)``.
 _Goals = Optional[tuple]
+# A hypothesis context: None when empty, else ``(atom, key, older)``, most
+# recent first, each hypothesis with the :func:`lookup_key` it was pushed
+# with. Bindings only grow while a context is in use, so a key may fall
+# short of its atom's current key but never contradicts it.
+_Hyps = Optional[tuple]
 
 
 def _goal_list(atoms: Sequence[Atom], context, rest: _Goals) -> _Goals:
@@ -337,15 +324,14 @@ def _run(
 ) -> Iterator[None]:
     """Depth-first search over a goal list; yields once per solution.
 
-    Each goal carries its stratum's context: a :class:`KeyedHyps` chain
-    (``None`` when empty), or the :class:`LfpCounts` of a bounded
-    proof. A choice point holds the trail mark, the atom, the goals
-    after it, the context of the clause bodies it will push, and its
-    untried alternatives: hypothesis hits (atoms) and clauses, from
-    ``index`` in the hypothesis stratum and ``bounded_index`` in bounded
-    proofs. Clauses are renamed with variables from ``source``. The store
-    holds a solution's bindings at each yield; exhausting the search rolls
-    it back to where it started.
+    Each goal carries its stratum's context: a hypothesis chain (``None``
+    when empty), or the :class:`LfpCounts` of a bounded proof. A choice
+    point holds the trail mark, the atom, the goals after it, the context
+    of the clause bodies it will push, and its untried alternatives:
+    hypothesis hits (atoms) and clauses, from ``index`` in the hypothesis
+    stratum and ``bounded_index`` in bounded proofs. Clauses are renamed
+    with variables from ``source``. The store holds a solution's bindings
+    at each yield; exhausting the search rolls it back to where it started.
     """
     resolve, hyp_cut = store.resolve, config.hyp_cut
     steps_left, revisit_limit = config.step_budget, config.lfp_revisit_limit
@@ -383,7 +369,7 @@ def _run(
                     clauses = ()
                 else:
                     clauses = index.candidates(atom, resolve)
-                pushed = KeyedHyps(atom, key, context)
+                pushed = (atom, key, context)
                 choices.append((store.mark(), atom, rest, pushed, chain(hits, clauses)))
         # Backtrack to the newest choice point with an alternative that applies.
         while True:

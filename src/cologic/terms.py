@@ -326,21 +326,14 @@ def _principal(t: Term):
     return None
 
 
-# A group of at most this many clauses is filtered by scanning it; larger
-# groups get a table per argument position, built on first use. Tables
-# answer a candidates call on the one- and two-clause groups of
-# programs/running_example.colp about 12% faster, but tabling every group
-# raised perfbench corpus's peak RSS from 39.0 to 40.6 MB (2 runs each).
-_SCAN_LIMIT = 8
-
-
 class ClauseIndex:
     """Candidate clauses for a goal atom, in the order of a clause sequence.
 
     Clauses are grouped by predicate and arity. Within a group the
     selection looks at the first argument position where the goal is bound
     and keeps the clauses whose head has a variable or the goal's principal
-    symbol there; every other clause would clash in head unification.
+    symbol there; every other clause would clash in head unification. Each
+    position's table is built once, by the first goal bound there.
     """
 
     __slots__ = ("_groups", "_tables")
@@ -350,9 +343,9 @@ class ClauseIndex:
         for clause in clauses:
             groups.setdefault((clause.head.predicate, clause.head.arity), []).append(clause)
         self._groups = {key: tuple(group) for key, group in groups.items()}
-        # (predicate, arity, position) -> (principal symbol -> positions of
-        # the clauses with it, positions of the clauses with a variable)
-        self._tables: dict[tuple, tuple[dict, tuple[int, ...]]] = {}
+        # (predicate, arity, position) -> (principal symbol -> the clauses
+        # with it or a variable there, the clauses with a variable there)
+        self._tables: dict[tuple, tuple[dict, tuple[Clause, ...]]] = {}
 
     def candidates(self, atom: Atom, resolve: Callable[[Term], Term]) -> Sequence[Clause]:
         """The clauses whose head may unify with ``atom``, in sequence order.
@@ -369,28 +362,28 @@ class ClauseIndex:
                 break
         else:
             return clauses
-        if len(clauses) <= _SCAN_LIMIT:
-            return [c for c in clauses if _principal(c.head.args[position]) in (None, symbol)]
         key = (atom.predicate, len(atom.args), position)
         table = self._tables.get(key)
         if table is None:
             table = self._tables[key] = _position_table(clauses, position)
         by_symbol, unkeyed = table
-        keyed = by_symbol.get(symbol, ())
-        picks = sorted(keyed + unkeyed) if keyed and unkeyed else keyed or unkeyed
-        return [clauses[i] for i in picks]
+        return by_symbol.get(symbol, unkeyed)
 
 
-def _position_table(clauses: Sequence[Clause], position: int) -> tuple[dict, tuple[int, ...]]:
+def _position_table(clauses: Sequence[Clause], position: int) -> tuple[dict, tuple[Clause, ...]]:
     by_symbol: dict = {}
-    unkeyed = []
-    for i, clause in enumerate(clauses):
+    unkeyed: list[Clause] = []
+    for clause in clauses:
         symbol = _principal(clause.head.args[position])
         if symbol is None:
-            unkeyed.append(i)
+            unkeyed.append(clause)
+            for picks in by_symbol.values():
+                picks.append(clause)
+        elif symbol in by_symbol:
+            by_symbol[symbol].append(clause)
         else:
-            by_symbol.setdefault(symbol, []).append(i)
-    return {s: tuple(ids) for s, ids in by_symbol.items()}, tuple(unkeyed)
+            by_symbol[symbol] = [*unkeyed, clause]
+    return {s: tuple(picks) for s, picks in by_symbol.items()}, tuple(unkeyed)
 
 
 @dataclass

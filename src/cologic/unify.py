@@ -36,7 +36,8 @@ class BindStore:
     def __init__(self) -> None:
         self._parent: dict[int, int] = {}
         self._bindings: dict[int, Term] = {}
-        self._trail: list[tuple[str, int]] = []
+        # (the table written, the key added to it), oldest first
+        self._trail: list[tuple[dict, int]] = []
 
     def mark(self) -> int:
         """Take a choice-point token: the current trail position."""
@@ -50,11 +51,8 @@ class BindStore:
             )
         trail = self._trail
         while len(trail) > token:
-            kind, vid = trail.pop()
-            if kind == "p":
-                del self._parent[vid]
-            else:
-                del self._bindings[vid]
+            table, vid = trail.pop()
+            del table[vid]
 
     def find(self, var_id: int) -> int:
         """Class representative of a variable (no path compression: undo stays exact)."""
@@ -109,14 +107,14 @@ def _unify_inplace(stack: list[tuple[Term, Term]], store: BindStore) -> bool:
             if t.__class__ is Var:
                 if s.id != t.id:
                     parent[s.id] = t.id
-                    trail.append(("p", s.id))
+                    trail.append((parent, s.id))
             else:
                 bindings[s.id] = t
-                trail.append(("b", s.id))
+                trail.append((bindings, s.id))
             continue
         if t.__class__ is Var:
             bindings[t.id] = s
-            trail.append(("b", t.id))
+            trail.append((bindings, t.id))
             continue
         if s.__class__ is Int or t.__class__ is Int:
             if s.__class__ is t.__class__ and s.value == t.value:

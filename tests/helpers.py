@@ -6,7 +6,9 @@ rational-tree equality through bisimulation (`rational_equal` in one
 store, `variant_equal` across two, as when answers are rebuilt in fresh
 stores), and `unfold` gives a bounded tree-expansion oracle for cyclic
 equality. The `reference_*` functions are the plain recursive forms of
-walks the package runs on explicit stacks, kept as differential oracles.
+walks the package runs on explicit stacks, and `reference_candidates` the
+clause scan that the index's tables replaced, kept as differential
+oracles.
 `run_goals` runs the engine's search loop from a chosen store and
 context, which `solve` never starts from.
 """
@@ -32,7 +34,7 @@ from cologic import (
     solve,
 )
 from cologic import engine
-from cologic.engine import KeyedHyps, LfpCounts, lookup_key
+from cologic.engine import LfpCounts, lookup_key
 from cologic.errors import CologicError, EvaluationError, InstantiationError
 from cologic.terms import CONS, NIL, VarSource, max_var_id
 from cologic.unify import BindStore, unify
@@ -143,6 +145,29 @@ def reference_render_term(t: Term, names: dict[int, str] | None = None) -> str:
     if not t.args:
         return t.functor
     return t.functor + "(" + ", ".join(reference_render_term(a, names) for a in t.args) + ")"
+
+
+def _reference_principal(t: Term):
+    if isinstance(t, Compound):
+        return (t.functor, len(t.args))
+    if isinstance(t, Int):
+        return t.value
+    return None
+
+
+def reference_candidates(clauses: Sequence[Clause], atom: Atom, resolve) -> list[Clause]:
+    """Select by scanning: the reference for :meth:`cologic.terms.ClauseIndex.candidates`.
+
+    Of the clauses with ``atom``'s predicate and arity, keeps those whose
+    head has a variable or the goal's principal symbol at the first
+    argument that ``resolve`` shows bound, in sequence order.
+    """
+    group = [c for c in clauses if (c.head.predicate, c.head.arity) == (atom.predicate, atom.arity)]
+    for position, arg in enumerate(atom.args):
+        symbol = _reference_principal(resolve(arg))
+        if symbol is not None:
+            return [c for c in group if _reference_principal(c.head.args[position]) in (None, symbol)]
+    return group
 
 
 _REFERENCE_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
@@ -432,11 +457,11 @@ def atom(pred: str, *args) -> Atom:
     return Atom(pred, tuple(terms))
 
 
-def hyps(atoms, store: BindStore) -> KeyedHyps | None:
+def hyps(atoms, store: BindStore) -> tuple | None:
     """A hypothesis context holding ``atoms`` (oldest first), each keyed as a push keys it."""
     context = None
     for a in atoms:
-        context = KeyedHyps(a, lookup_key(a, store.resolve), context)
+        context = (a, lookup_key(a, store.resolve), context)
     return context
 
 

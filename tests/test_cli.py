@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import cologic
@@ -216,6 +216,20 @@ def test_repl_bad_config_value_exit_2(running_path, monkeypatch, capsys, flags):
     assert captured.err.startswith(f"cologic: {flags[0]} must be >= ")
 
 
+# Python 3.11's argparse reads an option's attached "--" value as an empty list.
+DASHES_VALUES = {"--query=--": "--query", "-q--": "--query", "--mode=--": "--mode",
+                 "--budget=--": "--budget", "--revisit-limit=--": "--revisit-limit"}
+
+
+@pytest.mark.parametrize("arg", sorted(DASHES_VALUES))
+def test_attached_dashes_value_exit_2_one_line(running_path, arg):
+    run = _run_cli(running_path, arg, "--query", "?- true.")
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert run.stderr.splitlines() == [f"cologic: {DASHES_VALUES[arg]} needs a value, not '--'"]
+    assert run.stdout == ""
+
+
 def test_repl_query_and_quit(running_path, monkeypatch, capsys):
     code, captured = _run_repl(
         monkeypatch, capsys, [MAX_QUERY, "", ":quit"], [running_path]
@@ -402,6 +416,11 @@ _FLAGS = st.tuples(
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(program=_PROGRAMS, queries=st.lists(_QUERIES, min_size=1, max_size=2), flags=_FLAGS,
        all_answers=st.booleans(), oracle=st.booleans())
+# "--query=--", once alone and once after a query that would answer.
+@example(program=RUNNING_EXAMPLE, queries=["--"], flags=("--mode=cofacts", "--budget=200", []),
+         all_answers=False, oracle=False)
+@example(program="p.", queries=["?- p.", "--"], flags=("--mode=inductive", "--budget=0", ["--no-hyp-cut"]),
+         all_answers=True, oracle=True)
 def test_random_command_lines_keep_the_error_contract(
     tmp_path, monkeypatch, capsys, program, queries, flags, all_answers, oracle
 ):

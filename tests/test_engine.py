@@ -6,11 +6,12 @@ import dataclasses
 import operator
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cologic import (
     Atom,
+    Clause,
     CologicError,
     Compound,
     EngineConfig,
@@ -41,6 +42,7 @@ from helpers import (
     hyps,
     is_unbound,
     rational_equal,
+    reference_candidates,
     reference_eval_arith,
     run_goals,
     succeeds,
@@ -764,8 +766,9 @@ def test_soundness_stress_under_varied_configs():
 # clause index
 
 # One predicate whose heads mix a variable, a constant, an integer, a
-# compound and a list in first position. The padding clauses push the group
-# past the size at which the index stops scanning and builds position tables.
+# compound and a list in first position: 7 clauses, or 17 with the padding.
+# The ids "scanned" and "tabled" name these two sizes; they are kept from
+# when groups of at most 8 clauses were scanned, so the test ids stay stable.
 INDEXED = """
 k(X, var).
 k(a, const).
@@ -852,6 +855,61 @@ def test_index_cofacts_last_in_bounded_stratum_only(indexed):
     goal = Atom("k", (Compound("a"), Var(1000)))
     assert _labels(program.extended_index.candidates(goal, store.resolve))[-1] == "cofact"
     assert "cofact" not in _labels(program.index.candidates(goal, store.resolve))
+
+
+# Head arguments for the random groups: variables, constants, integers,
+# compounds and lists, drawn per position, so they interleave in every column.
+_HEAD_ARGS = st.sampled_from([
+    Var(0), Var(1), Compound("a"), Compound("b"), Int(0), Int(1), Compound("f", (Var(0),)),
+    Compound("f", (Compound("a"),)), Compound("g", (Var(1), Var(0))), Compound("[]"),
+    list_term([Int(1)], Var(1)), list_term([Int(0), Int(1)]),
+])
+# A goal argument: unbound (None) or one of these terms, reached through an
+# alias chain of 0-3 variables.
+_GOAL_ARGS = st.tuples(
+    st.one_of(st.none(), st.sampled_from([Compound("a"), Compound("b"), Compound("c"), Int(0), Int(1),
+                                          Int(2), Compound("f", (Var(9),)), Compound("g", (Int(0), Int(1))),
+                                          Compound("[]"), list_term([Int(1)])])),
+    st.integers(0, 3),
+)
+
+
+def _goal(store: BindStore, source: VarSource, predicate: str, args) -> Atom:
+    """An atom over ``args``; an argument with links is a chain of that many fresh aliases."""
+    out = []
+    for term, links in args:
+        if not links:
+            out.append(source.fresh() if term is None else term)
+            continue
+        chain = [source.fresh() for _ in range(links)]
+        for older, newer in zip(chain, chain[1:]):
+            assert unify(older, newer, store)
+        if term is not None:
+            assert unify(chain[-1], term, store)
+        out.append(chain[0])
+    return Atom(predicate, tuple(out))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    heads=st.lists(st.tuples(_HEAD_ARGS, _HEAD_ARGS), max_size=20),
+    cofacts=st.lists(st.tuples(_HEAD_ARGS, _HEAD_ARGS), max_size=3),
+    goals=st.lists(st.tuples(st.sampled_from(["k", "k", "k", "m"]), st.tuples(_GOAL_ARGS, _GOAL_ARGS)),
+                   min_size=1, max_size=6),
+)
+def test_index_picks_what_a_scan_picks(heads, cofacts, goals):
+    # Each clause's body names its place, so equal heads stay apart.
+    clauses = tuple(Clause(Atom("k", head), (atom("at", i),)) for i, head in enumerate(heads))
+    program = Program(clauses + (Clause(atom("m", "a")),), tuple(Atom("k", args) for args in cofacts))
+    store, source = BindStore(), VarSource(1000)
+    for predicate, args in goals:
+        goal = _goal(store, source, predicate, args)
+        for index, sequence in ((program.index, program.clauses),
+                                (program.extended_index, program.extended())):
+            expected = reference_candidates(sequence, goal, store.resolve)
+            # The first call builds the position's table; the second reads it.
+            assert list(index.candidates(goal, store.resolve)) == expected
+            assert list(index.candidates(goal, store.resolve)) == expected
 
 
 def test_program_is_immutable(indexed):

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cologic import Atom, Compound, Int, Var
-from cologic.engine import KeyedHyps, LfpCounts, hyp_lookup, keys_fit, lookup_key
+from cologic.engine import LfpCounts, hyp_lookup, keys_fit, lookup_key
 from cologic.unify import BindStore, unify, unify_atoms
 
 VARS = [Var(i) for i in range(4)]
@@ -64,7 +64,7 @@ def _build(run, store: BindStore):
     for atom, later in run:
         key = lookup_key(atom, store.resolve)
         pushed.append(atom)
-        hyps = KeyedHyps(atom, key, hyps)
+        hyps = (atom, key, hyps)
         # The engine stores a snapshot; the atom itself keeps the test small.
         counts = counts.inserted(atom, key)
         bind_all(later, store)
