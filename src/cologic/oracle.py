@@ -16,7 +16,8 @@ finite and every fixed point is directly computable by naive iteration:
   inside the generated semantics.
 
 This module is the ground truth that the search engine is tested against.
-It grounds clauses through their renaming template (:func:`ground_instances`).
+It grounds clauses through the maker that renames them
+(:func:`ground_instances`).
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ from .terms import (
     Program,
     Term,
     Var,
-    _compile_clause,
-    _instantiate,
+    _maker_of,
     clause_predicates,
     render_atom,
     render_clause,
@@ -118,17 +118,19 @@ def ground_instances(
 ) -> frozenset[Clause]:
     """All instantiations of the clauses' variables by universe constants.
 
-    Each combination of constants fills the variable slots of a clause's
-    renaming template (:func:`cologic.terms._compile_clause`). A ground
-    clause compiles to None: its template is its own atoms, with no slots,
-    so it is its own single instance. Instances are built once per clause
-    and universe, and kept on the universe. Raises
-    :class:`UnsupportedProgramError`, before building anything, when the
-    given clauses have more than ``MAX_GROUND_INSTANCES`` instances in all.
+    Each combination of constants fills the variable slots of the maker
+    that renames the clause (:func:`cologic.terms._maker_of`), built once
+    per clause. A ground clause has no maker and no slots: it is its own
+    single instance. Instances are built once per clause and universe, and
+    kept on the universe; only clauses not grounded yet are validated.
+    Raises :class:`UnsupportedProgramError`, before building anything, when
+    the given clauses have more than ``MAX_GROUND_INSTANCES`` instances in
+    all.
     """
-    _require_datalog(clauses)
     built = universe._instances
-    todo = {c: _compile_clause(c) or (0, c.head, c.body) for c in dict.fromkeys(clauses) if c not in built}
+    new = [c for c in dict.fromkeys(clauses) if c not in built]
+    _require_datalog(new)
+    todo = {c: _maker_of(c) or (0, lambda _, clause: clause, c) for c in new}
     # Distinct combinations give distinct instances, so a clause with k
     # variables has len(universe.constants) ** k of them, built or not.
     n = len(universe.constants)
@@ -138,11 +140,8 @@ def ground_instances(
             f"grounding needs {size:,} clause instances, more than the oracle's"
             f" limit of {MAX_GROUND_INSTANCES:,}"
         )
-    for c, (k, head, body) in todo.items():
-        built[c] = frozenset([
-            Clause(_instantiate(head, combo), tuple([_instantiate(b, combo) for b in body]))
-            for combo in itertools.product(universe.constants, repeat=k)
-        ])
+    for c, (k, make, constants) in todo.items():
+        built[c] = frozenset([make(combo, constants) for combo in itertools.product(universe.constants, repeat=k)])
     return frozenset().union(*(built[c] for c in clauses))
 
 

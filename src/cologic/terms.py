@@ -4,9 +4,12 @@ Terms are always finite trees here. Rational (cyclic) structure never lives
 inside a ``Term`` value; it is represented by bindings in a
 :class:`cologic.unify.BindStore`. Everything in this module is immutable
 after construction and safe to share across threads. The exceptions are
-filled in on first use: a program's clause indexes, variable range and
-universal-co-fact program, and a clause's renaming template. Each depends
-only on its owner, so threads that build one concurrently build equal ones.
+filled in on first use: a program's co-fact-extended clauses, clause
+indexes, variable range and universal-co-fact program, and a clause's
+maker. Each depends only on its owner, so threads that build one
+concurrently build equal ones. Makers are generated code, compiled once per
+clause shape into a cache shared by every program; two threads that build
+the same source concurrently store equal functions, and either one serves.
 
 Lists are sugar: ``[]`` is the constant ``Compound("[]")`` and ``[H|T]`` is
 ``Compound(".", (H, T))``. The parser desugars and the renderer resugars.
@@ -224,8 +227,8 @@ _set_atom_hash = Atom._hash.__set__
 class Clause(_Record):
     """``head :- body``; an empty body makes this a fact.
 
-    ``_template`` holds what :func:`fresh_rename` instantiates; it is left
-    unset until the clause's first renaming.
+    ``_template`` holds the clause's maker (see :func:`_maker_of`); it is
+    left unset until the clause's first renaming or grounding.
     """
 
     __slots__ = ("head", "body", "_hash", "_template")
@@ -289,7 +292,15 @@ class Program:
     var_names: dict[int, str] = field(default_factory=dict)
 
     def extended(self) -> tuple[Clause, ...]:
-        """The clause list enriched by the co-facts as plain facts (appended last)."""
+        """The clause list enriched by the co-facts as plain facts (appended last).
+
+        Built on first use and then kept, so the clause indexes, the
+        oracle and every later call share its co-fact clauses.
+        """
+        return self._extended
+
+    @cached_property
+    def _extended(self) -> tuple[Clause, ...]:
         return self.clauses + tuple(Clause(a) for a in self.cofacts)
 
     @cached_property
@@ -424,30 +435,96 @@ def fresh_rename(clause: Clause, source: VarSource) -> Clause:
     injectively. The k-th distinct variable, counted in preorder over the
     head and then the body, gets the k-th fresh identifier. Ground
     subterms and ground atoms are shared with ``clause``, and a ground
-    clause is returned itself. The clause's template (see
-    :func:`_compile_clause`) is built on its first renaming and then kept.
+    clause is returned itself. The clause's maker (see :func:`_maker_of`)
+    builds the copy from the fresh variables in one call.
     """
-    try:
-        template = clause._template
-    except AttributeError:
-        template = _compile_clause(clause)
-        _set_template(clause, template)
+    template = _maker_of(clause)
     if template is None:
         return clause
-    n, head, body = template
+    n, make, constants = template
     first = source.take(n)
-    variables = list(map(Var, range(first, first + n)))
-    return Clause(_instantiate(head, variables), tuple([_instantiate(b, variables) for b in body]))
+    return make(list(map(Var, range(first, first + n))), constants)
 
 
-def _instantiate(template, variables: Sequence[Term]) -> Atom:
-    if type(template) is Atom:
+def _maker_of(clause: Clause) -> tuple | None:
+    """``(n, make, constants)`` for a clause, or None when the clause is ground.
+
+    ``make(v, constants)`` builds the clause's instance whose n variable
+    slots hold ``v`` (see :func:`_maker`). It is built on the clause's
+    first renaming or grounding and then kept in ``Clause._template``.
+    """
+    try:
+        return clause._template
+    except AttributeError:
+        template = _compile_clause(clause)
+        if template is not None:
+            template = _maker(*template)
+        _set_template(clause, template)
         return template
-    predicate, args = template
-    return Atom(predicate, tuple([
-        variables[a] if type(a) is int else _build(a, variables) if type(a) is tuple else a
-        for a in args
-    ]))
+
+
+# An argument whose postfix code is longer than this is built at run time by
+# _build, not inlined into a maker: Python's parser refuses more than 200
+# nested parentheses, and compiling generated code costs about 35 us a node.
+_INLINE_LIMIT = 32
+
+# Maker source -> its function: clauses of one shape share one code object.
+_MAKERS: dict[str, Callable] = {}
+
+
+def _maker(n: int, head, body: tuple) -> tuple:
+    """``(n, make, constants)`` for a clause template (see :func:`_compile_clause`).
+
+    ``make`` is one straight-line expression such as ``Clause(Atom(c[1],
+    (v[0], Compound(c[0], (v[1], v[2],)),)), ())``: ``v`` holds the slot
+    values and ``c`` the clause's predicates, functors, ground subterms
+    and ground atoms, so the source holds no program text and every clause
+    of one shape shares it. Each argument's postfix code is turned into
+    nested constructor calls on a stack of source strings.
+    """
+    constants: list = []
+
+    def constant(x) -> str:
+        constants.append(x)
+        return f"c[{len(constants) - 1}]"
+
+    def tuple_of(items: list[str]) -> str:
+        return f"({', '.join(items)},)" if items else "()"
+
+    atoms = []
+    for atom in (head, *body):
+        if type(atom) is Atom:
+            atoms.append(constant(atom))
+            continue
+        predicate, args = atom
+        parts = []
+        for code in args:
+            if type(code) is int:
+                parts.append(f"v[{code}]")
+            elif type(code) is not tuple:
+                parts.append(constant(code))
+            elif len(code) > _INLINE_LIMIT:
+                parts.append(f"_build({constant(code)}, v)")
+            else:
+                stack: list[str] = []
+                for op in code:
+                    if type(op) is int:
+                        stack.append(f"v[{op}]")
+                    elif type(op) is tuple:
+                        functor, k = op
+                        inner = tuple_of(stack[-k:])
+                        del stack[-k:]
+                        stack.append(f"Compound({constant(functor)}, {inner})")
+                    else:
+                        stack.append(constant(op))
+                parts.append(stack[0])
+        atoms.append(f"Atom({constant(predicate)}, {tuple_of(parts)})")
+    source = f"lambda v, c: Clause({atoms[0]}, {tuple_of(atoms[1:])})"
+    make = _MAKERS.get(source)
+    if make is None:
+        namespace = {"Clause": Clause, "Atom": Atom, "Compound": Compound, "_build": _build}
+        make = _MAKERS[source] = eval(source, namespace)
+    return n, make, tuple(constants)
 
 
 def _build(code: tuple, variables: Sequence[Term]) -> Term:
@@ -480,8 +557,13 @@ def _compile_clause(clause: Clause) -> tuple | None:
     argument is walked once, in postorder on its own stack, so term depth
     is not limited by the recursion limit. A finished compound whose
     arguments each emitted only themselves is ground, and it replaces
-    their entries. :func:`fresh_rename` fills the slots with fresh
-    variables, and :func:`cologic.oracle.ground_instances` with constants.
+    their entries. :func:`_maker` turns the template into one function
+    that fills the slots, inlining every argument of at most
+    ``_INLINE_LIMIT`` operations and leaving longer ones to :func:`_build`,
+    so a long list or a deep term costs neither a nested expression that
+    Python's parser refuses nor a long compile. :func:`fresh_rename` calls
+    the function with fresh variables, and
+    :func:`cologic.oracle.ground_instances` with constants.
     """
     numbers: dict[int, int] = {}
     templates = []

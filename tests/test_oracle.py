@@ -24,7 +24,7 @@ from cologic import (
     parse_program,
     universe_for,
 )
-from cologic import oracle
+from cologic import oracle, terms
 from cologic.cli import oracle_report
 from cologic.oracle import ground_instances, herbrand_base, op_step
 from cologic.terms import with_universal_cofacts
@@ -88,31 +88,43 @@ def test_oversized_grounding_is_refused(monkeypatch):
     # 101 constants, so the 3-variable clause alone has 101**3 = 1,030,301 instances.
     text = "".join(f"c({i}).\n" for i in range(101)) + "t(X, Y, Z) :- c(X), c(Y), c(Z).\n"
     program = parse_program(text)
+    maker_of = oracle._maker_of
+    made = []
 
-    def instantiate(*args):
+    def refuse(*args):
         raise AssertionError("instantiated before the size check")
 
-    monkeypatch.setattr(oracle, "_instantiate", instantiate)
+    def refusing_maker_of(clause):
+        found = maker_of(clause)
+        made.append(clause)
+        return found and (found[0], refuse, found[2])
+
+    monkeypatch.setattr(oracle, "_maker_of", refusing_maker_of)
     assert oracle.MAX_GROUND_INSTANCES == 1_000_000
     with pytest.raises(UnsupportedProgramError, match="1,030,402 clause instances.* 1,000,000"):
         ground_instances(program.clauses, universe_for(program))
+    assert program.clauses[-1] in made  # the refusing maker was in place
 
 
 def test_one_report_instantiates_each_clause_once(monkeypatch):
-    # Each instantiation of a clause compiles its template once, so the
-    # calls of _compile_clause count the instantiations of each clause.
+    # A clause's template is compiled on its first grounding and kept on
+    # the clause, so one report compiles each distinct clause once, and a
+    # second report of the same program compiles nothing.
     seen: Counter = Counter()
-    compile_clause = oracle._compile_clause
+    compile_clause = terms._compile_clause
 
     def counting_compile(x):
         seen[x] += 1
         return compile_clause(x)
 
-    monkeypatch.setattr(oracle, "_compile_clause", counting_compile)
+    monkeypatch.setattr(terms, "_compile_clause", counting_compile)
     for program in [parse_program(PQ_EXAMPLE), *corpus(seed=28, count=20)]:
         seen.clear()
         oracle_report(program)
         assert seen == Counter(set(program.extended()))
+        seen.clear()
+        oracle_report(program)
+        assert seen == Counter()
 
 
 def test_one_report_runs_the_least_model_once(monkeypatch):

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import re
+import subprocess
 import sys
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -15,6 +19,7 @@ from cologic import (
     CologicError,
     Compound,
     Goal,
+    GroundUniverse,
     Int,
     Term,
     Var,
@@ -24,6 +29,7 @@ from cologic import (
     render_term,
 )
 from cologic import terms as term_module
+from cologic.oracle import ground_instances
 from cologic.terms import (
     VarSource,
     fresh_rename,
@@ -89,7 +95,21 @@ def _is_ground(t) -> bool:
     return not term_vars(t)
 
 
-@given(terms, terms, terms)
+# Lists of at least 17 cells ending in a variable: their postfix code is
+# longer than the inline limit, so makers build them through _build.
+long_terms = st.builds(
+    lambda items, tail: list_term(items, Var(tail)),
+    st.lists(terms, min_size=17, max_size=24),
+    st.integers(0, 3),
+)
+
+
+def test_long_terms_exceed_the_inline_limit():
+    code = term_module._compile_clause(Clause(Atom("p", (list_term([Int(0)] * 17, Var(0)),))))[1][1][0]
+    assert len(code) > term_module._INLINE_LIMIT
+
+
+@given(terms | long_terms, terms | long_terms, terms | long_terms)
 def test_fresh_rename_equals_the_recursive_reference(t1, t2, t3):
     clause = Clause(
         Atom("p", (t1, t2)),
@@ -346,6 +366,61 @@ def test_clause_template_is_built_once(monkeypatch):
     assert clause._template is template
     assert built == [clause]
     assert term_vars(second) == {12, 13}
+
+
+def test_makers_take_names_from_constants_not_from_their_source():
+    # Quotes, a newline and a parenthesis in a predicate or a functor would
+    # break generated source that spelled them out.
+    p, f = "p'\n)", 'f"'
+    x, y = Var(0), Var(1)
+    clause = Clause(Atom(p, (x, Compound(f, (y, Compound(f))))), (Atom(f, (Compound(p, (y,)),)), Atom(p, ())))
+    assert fresh_rename(clause, VarSource(30)) == reference_rename(clause, VarSource(30))
+    n, make, constants = term_module._maker_of(clause)
+    assert n == 2
+    one, two = Int(1), Compound(p)
+    assert make((one, two), constants) == substitute(clause, {0: one, 1: two})
+    # The oracle grounds a constants-only clause with such names through its maker.
+    fact = Clause(Atom(p, (x, Compound(f))))
+    universe = GroundUniverse((Compound(f), Int(2)))
+    assert ground_instances([fact], universe) == {substitute(fact, {0: c}) for c in universe.constants}
+    _assert_sources_hold_no_program_text()
+
+
+def _assert_sources_hold_no_program_text():
+    allowed = {"lambda", "v", "c", "Clause", "Atom", "Compound", "_build"}
+    for source in term_module._MAKERS:
+        assert re.fullmatch(r"lambda v, c: [\w\[\](), ]+", source), source
+        assert set(re.findall(r"[A-Za-z_]\w*", source)) <= allowed, source
+
+
+def test_clauses_of_one_shape_share_one_maker():
+    first, second = parse_program("p(X) :- q(X).  r(Y) :- s(Y).").clauses
+    assert not hasattr(first, "_template")  # parsing builds no maker
+    renamed = fresh_rename(second, VarSource(4))
+    assert renamed == Clause(Atom("r", (Var(4),)), (Atom("s", (Var(4),)),))
+    assert fresh_rename(first, VarSource(9)) == Clause(Atom("p", (Var(9),)), (Atom("q", (Var(9),)),))
+    assert first._template[1] is second._template[1]
+    assert first._template[2] != second._template[2]
+
+
+def test_importing_builds_no_maker():
+    code = "import cologic.cli, cologic.terms as t; assert t._MAKERS == {}, t._MAKERS"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(Path(term_module.__file__).parents[1])})
+    assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("shape", ["body", "head"])
+def test_wide_clauses_rename_like_the_reference(shape):
+    # 2,000 atoms in the body, or 2,000 arguments in the head, in one maker.
+    width = 2_000
+    if shape == "body":
+        clause = Clause(Atom("p", (Var(0),)),
+                        tuple(Atom("q", (Var(i), Compound("f", (Var(i + 1),)))) for i in range(width)))
+    else:
+        clause = Clause(Atom("p", tuple(Compound("g", (Var(i % 7), Int(i))) for i in range(width))))
+    assert fresh_rename(clause, VarSource(3)) == reference_rename(clause, VarSource(3))
+    _assert_sources_hold_no_program_text()
 
 
 def test_deep_terms_compare_and_hash():

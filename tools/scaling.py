@@ -13,11 +13,15 @@ It imports cologic from ``<checkout>/src``, parses
 * ``max`` and ``all_pos`` over the cycle ``L = [1, ..., p|L]``, for p in
   ``--periods`` (default 50, 100, 200, 300).
 
+Every case runs in each engine mode named by ``--modes`` (default
+``cofacts``; ``--modes cofacts,inductive`` compares the bounded stratum).
 Each case runs three times and reports its median; parsing the query is
 not timed. Every answer is checked: ``all_pos`` holds, ``member(0, ...)``
-fails, and ``max`` answers ``M = n`` (or ``M = p``). It prints one JSON line: the checkout, the Python version and
-one row per case with its ``cpu_s`` and whether its answer was right. The
-exit status is 1 when an answer was wrong or the search raised.
+fails, and ``max`` answers ``M = n`` (or ``M = p``); in ``inductive``
+mode both cycle cases answer ``false.``, as a cycle has no finite
+derivation. It prints one JSON line: the checkout, the Python version and
+one row per mode and case with its ``cpu_s`` and whether its answer was
+right. The exit status is 1 when an answer was wrong or the search raised.
 
 Uses the standard library only.
 """
@@ -35,6 +39,7 @@ from time import process_time
 
 FINITE = (1_000, 2_000, 5_000)
 PERIODS = (50, 100, 200, 300)
+MODES = ("cofacts",)
 REPEATS = 3
 
 
@@ -49,8 +54,9 @@ def load(checkout: Path):
     return cologic
 
 
-def cases(finite, periods):
+def cases(finite, periods, mode="cofacts"):
     """(name, size, query text, expected first answer) per case; None expects ``false.``."""
+    cycles_hold = mode != "inductive"
     for n in finite:
         items = "[" + ", ".join(str(i) for i in range(1, n + 1)) + "]"
         yield "all_pos/finite", n, f"?- all_pos({items}).", {}
@@ -58,8 +64,8 @@ def cases(finite, periods):
         yield "member_miss/finite", n, f"?- member(0, {items}).", None
     for p in periods:
         cycle = "L = [" + ", ".join(str(i) for i in range(1, p + 1)) + "|L]"
-        yield "max/cycle", p, f"?- {cycle}, max(L, M).", {"M": p}
-        yield "all_pos/cycle", p, f"?- {cycle}, all_pos(L).", {}
+        yield "max/cycle", p, f"?- {cycle}, max(L, M).", {"M": p} if cycles_hold else None
+        yield "all_pos/cycle", p, f"?- {cycle}, all_pos(L).", {} if cycles_hold else None
 
 
 def correct(cologic, answer, expected) -> bool:
@@ -69,30 +75,39 @@ def correct(cologic, answer, expected) -> bool:
     return all(equations.get(var) == cologic.Int(value) for var, value in expected.items())
 
 
-def run(checkout: Path, finite=FINITE, periods=PERIODS) -> dict:
+def run(checkout: Path, finite=FINITE, periods=PERIODS, modes=MODES) -> dict:
     cologic = load(checkout)
     program = cologic.parse_program((checkout / "programs" / "running_example.colp").read_text())
     rows = []
-    for name, size, text, expected in cases(finite, periods):
-        query = cologic.parse_query(text)
-        times, ok, error = [], True, None
-        for _ in range(REPEATS):
-            start = process_time()
-            try:
-                answer = next(iter(cologic.solve(program, query)), None)
-            except Exception as e:  # a crash is a wrong answer, reported by its type
-                answer, error = None, type(e).__name__
-            times.append(process_time() - start)
-            ok = ok and error is None and correct(cologic, answer, expected)
-        row = {"case": name, "size": size, "cpu_s": round(statistics.median(times), 4), "ok": ok}
-        if error is not None:
-            row["error"] = error
-        rows.append(row)
+    for mode in modes:
+        for name, size, text, expected in cases(finite, periods, mode):
+            query, config = cologic.parse_query(text), cologic.EngineConfig(mode=mode)
+            times, ok, error = [], True, None
+            for _ in range(REPEATS):
+                start = process_time()
+                try:
+                    answer = next(iter(cologic.solve(program, query, config)), None)
+                except Exception as e:  # a crash is a wrong answer, reported by its type
+                    answer, error = None, type(e).__name__
+                times.append(process_time() - start)
+                ok = ok and error is None and correct(cologic, answer, expected)
+            row = {"mode": mode, "case": name, "size": size, "cpu_s": round(statistics.median(times), 4), "ok": ok}
+            if error is not None:
+                row["error"] = error
+            rows.append(row)
     return {"checkout": str(checkout), "python": platform.python_version(), "rows": rows}
 
 
 def sizes(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part)
+
+
+def modes(text: str) -> tuple[str, ...]:
+    names = tuple(part for part in text.split(",") if part)
+    for name in names:
+        if name not in ("cofacts", "inductive", "coinductive"):
+            raise argparse.ArgumentTypeError(f"unknown mode {name!r}")
+    return names
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -103,8 +118,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="comma-separated finite list lengths (default: 1000,2000,5000)")
     parser.add_argument("--periods", type=sizes, default=PERIODS,
                         help="comma-separated cycle periods (default: 50,100,200,300)")
+    parser.add_argument("--modes", type=modes, default=MODES,
+                        help="comma-separated engine modes to run every case in (default: cofacts)")
     args = parser.parse_args(argv)
-    result = run(args.checkout.resolve(), args.finite, args.periods)
+    result = run(args.checkout.resolve(), args.finite, args.periods, args.modes)
     print(json.dumps(result), flush=True)
     return 0 if all(row["ok"] for row in result["rows"]) else 1
 
