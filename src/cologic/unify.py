@@ -1,16 +1,18 @@
 """Solved-form equation stores over rational trees.
 
-A :class:`BindStore` is a union-find over variable identifiers plus a
-binding table from class representatives to non-variable terms, with a
-chronological trail so choice points roll back exactly. Unification is
-occurs-check free: ``X = f(X)`` succeeds, binding ``X`` to the rational
-tree ``f(f(...))``. An in-progress pair memo makes unification terminate
-on cyclic structure.
+A :class:`BindStore` keeps one table from variable identifiers to terms:
+a variable maps to another variable on its way to its class's
+representative, or the representative maps to its non-variable binding.
+A chronological trail of the identifiers written lets choice points roll
+back exactly. Unification is occurs-check free: ``X = f(X)`` succeeds,
+binding ``X`` to the rational tree ``f(f(...))``. An in-progress pair
+memo makes unification terminate on cyclic structure, and a clash
+restores the store to its state at entry.
 
 Unification runs once per head and per lookup trial, so it takes fast
 paths: it dispatches on a term's exact class, dereferences only
 variables, stops on identical nodes before comparing functors, writes the
-store's tables directly, and builds its pair memo only once it takes
+store's table directly, and builds its pair memo only once it takes
 apart a pair of compounds with arguments. :func:`unify_atoms` solves all
 argument pairs on one stack.
 """
@@ -26,18 +28,19 @@ from .terms import Atom, Compound, Int, Term, Var
 class BindStore:
     """Mutable binding state for one resolution.
 
-    Confined to a single query; distinct stores may run in parallel. All
-    mutation goes through the trail, so rolling back to a mark restores
-    observable behavior exactly.
+    Confined to a single query; distinct stores may run in parallel. Every
+    entry of the table is added once and recorded on the trail, so rolling
+    back to a mark deletes entries and restores observable behavior
+    exactly. An unbound representative has no entry.
     """
 
-    __slots__ = ("_parent", "_bindings", "_trail")
+    __slots__ = ("_table", "_trail")
 
     def __init__(self) -> None:
-        self._parent: dict[int, int] = {}
-        self._bindings: dict[int, Term] = {}
-        # (the table written, the key added to it), oldest first
-        self._trail: list[tuple[dict, int]] = []
+        # variable id -> the next variable towards its representative, or
+        # the representative's non-variable binding
+        self._table: dict[int, Term] = {}
+        self._trail: list[int] = []  # the ids written, oldest first
 
     def mark(self) -> int:
         """Take a choice-point token: the current trail position."""
@@ -49,16 +52,17 @@ class BindStore:
             raise InternalError(
                 f"stale rollback token {token} (trail length {len(self._trail)})"
             )
-        trail = self._trail
+        table, trail = self._table, self._trail
         while len(trail) > token:
-            table, vid = trail.pop()
-            del table[vid]
+            del table[trail.pop()]
 
     def find(self, var_id: int) -> int:
         """Class representative of a variable (no path compression: undo stays exact)."""
-        parent = self._parent
-        while var_id in parent:
-            var_id = parent[var_id]
+        table = self._table
+        t = table.get(var_id)
+        while t.__class__ is Var:
+            var_id = t.id
+            t = table.get(var_id)
         return var_id
 
     def resolve(self, t: Term) -> Term:
@@ -68,22 +72,17 @@ class BindStore:
         bindings; callers peel the structure lazily. A non-variable is
         returned at once.
         """
-        if t.__class__ is not Var:
-            return t
-        vid = t.id
-        parent = self._parent
-        while vid in parent:
-            vid = parent[vid]
-        bound = self._bindings.get(vid)
-        if bound is not None:
-            return bound
-        # An unbound representative is returned as is: building a new
-        # Var would cost more than the rest of the call.
-        return t if vid == t.id else Var(vid)
+        table = self._table
+        while t.__class__ is Var:
+            bound = table.get(t.id)
+            if bound is None:
+                return t
+            t = bound
+        return t
 
 
 def _unify_inplace(stack: list[tuple[Term, Term]], store: BindStore) -> bool:
-    """Extend the store to solve every pair on ``stack``; no cleanup on clash (caller rolls back).
+    """Extend the store to solve every pair on ``stack``; on a clash, restore it and fail.
 
     Pairs are solved from the top of the stack down, each one depth-first.
     Dispatch is on the exact class. Identical nodes stop at once, before
@@ -91,7 +90,8 @@ def _unify_inplace(stack: list[tuple[Term, Term]], store: BindStore) -> bool:
     a pair of compounds with arguments is first taken apart.
     """
     resolve = store.resolve
-    parent, bindings, trail = store._parent, store._bindings, store._trail
+    table, trail = store._table, store._trail
+    start = len(trail)
     seen: set[tuple[int, int]] | None = None
     while stack:
         s, t = stack.pop()
@@ -101,28 +101,24 @@ def _unify_inplace(stack: list[tuple[Term, Term]], store: BindStore) -> bool:
             t = resolve(t)
         if s is t:
             continue
-        # The store only ever gains entries here, each recorded on the
+        # The table only ever gains entries here, each recorded on the
         # trail, so undo is deletion (BindStore.rollback).
         if s.__class__ is Var:
-            if t.__class__ is Var:
-                if s.id != t.id:
-                    parent[s.id] = t.id
-                    trail.append((parent, s.id))
-            else:
-                bindings[s.id] = t
-                trail.append((bindings, s.id))
+            if t.__class__ is not Var or s.id != t.id:
+                table[s.id] = t
+                trail.append(s.id)
             continue
         if t.__class__ is Var:
-            bindings[t.id] = s
-            trail.append((bindings, t.id))
+            table[t.id] = s
+            trail.append(t.id)
             continue
         if s.__class__ is Int or t.__class__ is Int:
             if s.__class__ is t.__class__ and s.value == t.value:
                 continue
-            return False
+            break
         args = s.args
         if s.functor != t.functor or len(args) != len(t.args):
-            return False
+            break
         if not args:
             continue
         key = (id(s), id(t))
@@ -138,7 +134,10 @@ def _unify_inplace(stack: list[tuple[Term, Term]], store: BindStore) -> bool:
         # Reversed, so the first argument pops first: a clash in a list's
         # head is found before its whole tail is walked.
         stack.extend(zip(reversed(args), reversed(t.args)))
-    return True
+    else:  # no clash broke out of the loop
+        return True
+    store.rollback(start)
+    return False
 
 
 def unify(s: Term, t: Term, store: BindStore) -> bool:
@@ -148,11 +147,7 @@ def unify(s: Term, t: Term, store: BindStore) -> bool:
     clash (the only failure: distinct functors/arities or unequal
     integers) the store is rolled back to its state at entry.
     """
-    start = store.mark()
-    if _unify_inplace([(s, t)], store):
-        return True
-    store.rollback(start)
-    return False
+    return _unify_inplace([(s, t)], store)
 
 
 def unify_atoms(a: Atom, b: Atom, store: BindStore) -> bool:
@@ -162,11 +157,7 @@ def unify_atoms(a: Atom, b: Atom, store: BindStore) -> bool:
     """
     if a.predicate != b.predicate or len(a.args) != len(b.args):
         return False
-    start = store.mark()
-    if _unify_inplace(list(zip(reversed(a.args), reversed(b.args))), store):
-        return True
-    store.rollback(start)
-    return False
+    return _unify_inplace(list(zip(reversed(a.args), reversed(b.args))), store)
 
 
 def extract_answer(

@@ -6,9 +6,10 @@ rational-tree equality through bisimulation (`rational_equal` in one
 store, `variant_equal` across two, as when answers are rebuilt in fresh
 stores), and `unfold` gives a bounded tree-expansion oracle for cyclic
 equality. The `reference_*` functions are the plain recursive forms of
-walks the package runs on explicit stacks, and `reference_candidates` the
-clause scan that the index's tables replaced, kept as differential
-oracles.
+walks the package runs on explicit stacks, `reference_candidates` the
+clause scan that the index's tables replaced, and `ReferenceBindStore`
+with `reference_unify`/`reference_unify_atoms` the two-table store and
+unifier that the one-table store replaced, kept as differential oracles.
 `run_goals` runs the engine's search loop from a chosen store and
 context, which `solve` never starts from.
 """
@@ -35,7 +36,7 @@ from cologic import (
 )
 from cologic import engine
 from cologic.engine import LfpCounts, lookup_key
-from cologic.errors import CologicError, EvaluationError, InstantiationError
+from cologic.errors import CologicError, EvaluationError, InstantiationError, InternalError
 from cologic.terms import CONS, NIL, VarSource, max_var_id
 from cologic.unify import BindStore, unify
 
@@ -168,6 +169,154 @@ def reference_candidates(clauses: Sequence[Clause], atom: Atom, resolve) -> list
         if symbol is not None:
             return [c for c in group if _reference_principal(c.head.args[position]) in (None, symbol)]
     return group
+
+
+
+class ReferenceBindStore:
+    """The two-table store: the reference for :class:`cologic.unify.BindStore`.
+
+    A union-find over variable identifiers plus a binding table from class
+    representatives to non-variable terms; its trail records the table
+    written with each key. All mutation goes through the trail, so rolling
+    back to a mark restores observable behavior exactly.
+    """
+
+    __slots__ = ("_parent", "_bindings", "_trail")
+
+    def __init__(self) -> None:
+        self._parent: dict[int, int] = {}
+        self._bindings: dict[int, Term] = {}
+        # (the table written, the key added to it), oldest first
+        self._trail: list[tuple[dict, int]] = []
+
+    def mark(self) -> int:
+        """Take a choice-point token: the current trail position."""
+        return len(self._trail)
+
+    def rollback(self, token: int) -> None:
+        """Undo every binding event made after ``mark`` returned ``token``."""
+        if not 0 <= token <= len(self._trail):
+            raise InternalError(
+                f"stale rollback token {token} (trail length {len(self._trail)})"
+            )
+        trail = self._trail
+        while len(trail) > token:
+            table, vid = trail.pop()
+            del table[vid]
+
+    def find(self, var_id: int) -> int:
+        """Class representative of a variable (no path compression: undo stays exact)."""
+        parent = self._parent
+        while var_id in parent:
+            var_id = parent[var_id]
+        return var_id
+
+    def resolve(self, t: Term) -> Term:
+        """One-level dereference: the binding of ``t``'s class, or its representative.
+
+        Never recurses into the result, so it cannot loop on cyclic
+        bindings; callers peel the structure lazily. A non-variable is
+        returned at once.
+        """
+        if t.__class__ is not Var:
+            return t
+        vid = t.id
+        parent = self._parent
+        while vid in parent:
+            vid = parent[vid]
+        bound = self._bindings.get(vid)
+        if bound is not None:
+            return bound
+        # An unbound representative is returned as is: building a new
+        # Var would cost more than the rest of the call.
+        return t if vid == t.id else Var(vid)
+
+
+def _reference_unify_inplace(stack: list[tuple[Term, Term]], store: ReferenceBindStore) -> bool:
+    """Extend the store to solve every pair on ``stack``; no cleanup on clash (caller rolls back).
+
+    Pairs are solved from the top of the stack down, each one depth-first.
+    Dispatch is on the exact class. Identical nodes stop at once, before
+    any functor is compared, and the visited-pair set is only built when
+    a pair of compounds with arguments is first taken apart.
+    """
+    resolve = store.resolve
+    parent, bindings, trail = store._parent, store._bindings, store._trail
+    seen: set[tuple[int, int]] | None = None
+    while stack:
+        s, t = stack.pop()
+        if s.__class__ is Var:
+            s = resolve(s)
+        if t.__class__ is Var:
+            t = resolve(t)
+        if s is t:
+            continue
+        # The store only ever gains entries here, each recorded on the
+        # trail, so undo is deletion (ReferenceBindStore.rollback).
+        if s.__class__ is Var:
+            if t.__class__ is Var:
+                if s.id != t.id:
+                    parent[s.id] = t.id
+                    trail.append((parent, s.id))
+            else:
+                bindings[s.id] = t
+                trail.append((bindings, s.id))
+            continue
+        if t.__class__ is Var:
+            bindings[t.id] = s
+            trail.append((bindings, t.id))
+            continue
+        if s.__class__ is Int or t.__class__ is Int:
+            if s.__class__ is t.__class__ and s.value == t.value:
+                continue
+            return False
+        args = s.args
+        if s.functor != t.functor or len(args) != len(t.args):
+            return False
+        if not args:
+            continue
+        key = (id(s), id(t))
+        if seen is None:
+            seen = {key}
+        elif key in seen:
+            # Already unifying this pair of graph nodes further up the
+            # stack; assuming success here is what makes cyclic bindings
+            # terminate (any genuine mismatch surfaces at finite depth).
+            continue
+        else:
+            seen.add(key)
+        # Reversed, so the first argument pops first: a clash in a list's
+        # head is found before its whole tail is walked.
+        stack.extend(zip(reversed(args), reversed(t.args)))
+    return True
+
+
+def reference_unify(s: Term, t: Term, store: ReferenceBindStore) -> bool:
+    """The two-table unifier: the reference for :func:`cologic.unify.unify`.
+
+    On success the store is the least extension solving ``s = t``; on
+    clash (the only failure: distinct functors/arities or unequal
+    integers) the store is rolled back to its state at entry.
+    """
+    start = store.mark()
+    if _reference_unify_inplace([(s, t)], store):
+        return True
+    store.rollback(start)
+    return False
+
+
+def reference_unify_atoms(a: Atom, b: Atom, store: ReferenceBindStore) -> bool:
+    """As :func:`reference_unify`, additionally requiring equal predicate and arity.
+
+    A predicate/arity mismatch clashes without touching the store.
+    """
+    if a.predicate != b.predicate or len(a.args) != len(b.args):
+        return False
+    start = store.mark()
+    if _reference_unify_inplace(list(zip(reversed(a.args), reversed(b.args))), store):
+        return True
+    store.rollback(start)
+    return False
 
 
 _REFERENCE_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,

@@ -3,12 +3,21 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cologic import Atom, Compound, Int, InternalError, Var, list_term, render_term
 from cologic.unify import BindStore, extract_answer, unify, unify_atoms
-from helpers import is_unbound, rational_equal, reference_extract_answer, unfold, variant_equal
+from helpers import (
+    ReferenceBindStore,
+    is_unbound,
+    rational_equal,
+    reference_extract_answer,
+    reference_unify,
+    reference_unify_atoms,
+    unfold,
+    variant_equal,
+)
 
 
 def cons(h, t):
@@ -333,3 +342,59 @@ def test_unify_idempotence_on_finite_terms(s, t):
         before = store.mark()
         assert unify(s, t, store)
         assert store.mark() == before
+
+
+diff_terms = st.recursive(
+    st.integers(0, 5).map(Var)
+    | st.integers(0, 2).map(Int)
+    | st.sampled_from(["a", "b", "[]"]).map(Compound),
+    lambda sub: st.builds(Compound, st.just("f"), st.tuples(sub, sub))
+    | st.builds(lambda items, tail: list_term(items, tail=tail), st.lists(sub, min_size=1, max_size=3), sub),
+    max_leaves=6,
+)
+diff_atoms = st.builds(
+    Atom, st.sampled_from(["p", "q"]), st.lists(diff_terms, min_size=1, max_size=2).map(tuple)
+)
+store_ops = st.lists(
+    st.tuples(st.just("unify"), diff_terms, diff_terms)
+    | st.tuples(st.just("unify_atoms"), diff_atoms, diff_atoms)
+    | st.tuples(st.just("mark"))
+    | st.tuples(st.just("rollback"), st.integers(-1, 12)),
+    max_size=20,
+)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InternalError:
+        return InternalError
+
+
+@settings(max_examples=300)
+@given(store_ops)
+@example([
+    ("unify", Var(0), list_term([Int(1)], tail=Var(0))),
+    ("mark",),
+    ("unify", Var(1), list_term([Int(1), Int(1)], tail=Var(1))),
+    ("unify", Var(2), Var(0)),
+    ("unify", Var(1), Var(2)),
+    ("unify_atoms", Atom("p", (Var(3), Var(0))), Atom("p", (Int(2), list_term([Int(2)], tail=Var(0))))),
+    ("rollback", 1),
+    ("rollback", 5),
+])
+def test_store_agrees_with_the_two_table_reference(ops):
+    # Every return value, trail position, representative and one-level
+    # binding matches the two-table store after every step, on cyclic
+    # bindings, clashes after partial bindings and stale tokens too.
+    store, ref = BindStore(), ReferenceBindStore()
+    ours = {"unify": lambda s, t: unify(s, t, store), "unify_atoms": lambda a, b: unify_atoms(a, b, store),
+            "mark": store.mark, "rollback": store.rollback}
+    theirs = {"unify": lambda s, t: reference_unify(s, t, ref),
+              "unify_atoms": lambda a, b: reference_unify_atoms(a, b, ref),
+              "mark": ref.mark, "rollback": ref.rollback}
+    for name, *args in ops:
+        assert _outcome(ours[name], *args) == _outcome(theirs[name], *args)
+        assert store.mark() == ref.mark()
+        assert [store.find(i) for i in range(6)] == [ref.find(i) for i in range(6)]
+        assert [store.resolve(Var(i)) for i in range(6)] == [ref.resolve(Var(i)) for i in range(6)]
