@@ -16,7 +16,7 @@ finite and every fixed point is directly computable by naive iteration:
   inside the generated semantics.
 
 This module is the ground truth that the search engine is tested against.
-It grounds clauses through the maker that renames them
+It grounds clauses through the runner that renames them
 (:func:`ground_instances`).
 """
 
@@ -118,9 +118,9 @@ def ground_instances(
 ) -> frozenset[Clause]:
     """All instantiations of the clauses' variables by universe constants.
 
-    Each combination of constants fills the variable slots of the maker
+    Each combination of constants fills the variable slots of the runner
     that renames the clause (:func:`cologic.terms._maker_of`), built once
-    per clause. A ground clause has no maker and no slots: it is its own
+    per clause. A ground clause has no runner and no slots: it is its own
     single instance. Instances are built once per clause and universe, and
     kept on the universe; only clauses not grounded yet are validated.
     Raises :class:`UnsupportedProgramError`, before building anything, when

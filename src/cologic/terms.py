@@ -6,10 +6,12 @@ inside a ``Term`` value; it is represented by bindings in a
 after construction and safe to share across threads. The exceptions are
 filled in on first use: a program's co-fact-extended clauses, clause
 indexes, variable range and universal-co-fact program, and a clause's
-maker. Each depends only on its owner, so threads that build one
-concurrently build equal ones. Makers are generated code, compiled once per
-clause shape into a cache shared by every program; two threads that build
-the same source concurrently store equal functions, and either one serves.
+runner. Each depends only on its owner, so threads that build one
+concurrently build equal ones. A clause compiles in one walk into one
+postfix program; a short program becomes a maker, generated code compiled
+once per clause shape into a cache shared by every program, and a long one
+is run as it is. Two threads that build the same maker source concurrently
+store equal functions, and either one serves.
 
 Lists are sugar: ``[]`` is the constant ``Compound("[]")`` and ``[H|T]`` is
 ``Compound(".", (H, T))``. The parser desugars and the renderer resugars.
@@ -227,7 +229,7 @@ _set_atom_hash = Atom._hash.__set__
 class Clause(_Record):
     """``head :- body``; an empty body makes this a fact.
 
-    ``_template`` holds the clause's maker (see :func:`_maker_of`); it is
+    ``_template`` holds the clause's runner (see :func:`_maker_of`); it is
     left unset until the clause's first renaming or grounding.
     """
 
@@ -435,7 +437,7 @@ def fresh_rename(clause: Clause, source: VarSource) -> Clause:
     injectively. The k-th distinct variable, counted in preorder over the
     head and then the body, gets the k-th fresh identifier. Ground
     subterms and ground atoms are shared with ``clause``, and a ground
-    clause is returned itself. The clause's maker (see :func:`_maker_of`)
+    clause is returned itself. The clause's runner (see :func:`_maker_of`)
     builds the copy from the fresh variables in one call.
     """
     template = _maker_of(clause)
@@ -450,152 +452,113 @@ def _maker_of(clause: Clause) -> tuple | None:
     """``(n, make, constants)`` for a clause, or None when the clause is ground.
 
     ``make(v, constants)`` builds the clause's instance whose n variable
-    slots hold ``v`` (see :func:`_maker`). It is built on the clause's
-    first renaming or grounding and then kept in ``Clause._template``.
+    slots hold ``v``: a maker compiled from the clause's postfix program,
+    or :func:`_build` running a long one (see :func:`_compile_clause`).
+    It is built on the clause's first renaming or grounding and then kept
+    in ``Clause._template``.
     """
     try:
         return clause._template
     except AttributeError:
         template = _compile_clause(clause)
-        if template is not None:
-            template = _maker(*template)
         _set_template(clause, template)
         return template
 
 
-# An argument whose postfix code is longer than this is built at run time by
-# _build, not inlined into a maker: Python's parser refuses more than 200
-# nested parentheses, and compiling generated code costs about 35 us a node.
+# A clause whose postfix program is longer than this is run by _build, not
+# compiled into a maker: Python's parser refuses more than 200 nested
+# parentheses, and compiling generated code costs about 35 us a node.
 _INLINE_LIMIT = 32
 
 # Maker source -> its function: clauses of one shape share one code object.
 _MAKERS: dict[str, Callable] = {}
 
 
-def _maker(n: int, head, body: tuple) -> tuple:
-    """``(n, make, constants)`` for a clause template (see :func:`_compile_clause`).
+def _compile_clause(clause: Clause) -> tuple | None:
+    """``(n, make, constants)`` for a clause (see :func:`_maker_of`), or None when it is ground.
 
-    ``make`` is one straight-line expression such as ``Clause(Atom(c[1],
-    (v[0], Compound(c[0], (v[1], v[2],)),)), ())``: ``v`` holds the slot
-    values and ``c`` the clause's predicates, functors, ground subterms
-    and ground atoms, so the source holds no program text and every clause
-    of one shape shares it. Each argument's postfix code is turned into
-    nested constructor calls on a stack of source strings.
+    One walk over the head and then the body atoms, in postorder on one
+    stack, emits the clause's postfix program: a number pushes that
+    variable slot (n slots, numbered in preorder), ``(Compound, functor,
+    k)`` and ``(Atom, predicate, k)`` pop k arguments and push what they
+    build, and anything else is a ground term or ground atom pushed as is.
+    A finished compound or atom whose arguments each emitted only
+    themselves is ground, and it replaces their entries. The program
+    leaves the head and the body atoms on the stack.
+
+    A program of at most ``_INLINE_LIMIT`` operations becomes one
+    straight-line maker such as ``Clause(Atom(c[1], (v[0], Compound(c[0],
+    (v[1],)),)), ())``: ``v`` holds the slot values and ``c`` the
+    program's predicates, functors, ground terms and ground atoms, so the
+    source holds no program text and every clause of one shape shares it.
+    A longer program is run by :func:`_build`, with the program as its
+    constants, so a wide clause or a long list costs neither a nested
+    expression that Python's parser refuses nor a long compile.
+    :func:`fresh_rename` calls ``make`` with fresh variables, and
+    :func:`cologic.oracle.ground_instances` with constants.
     """
-    constants: list = []
-
-    def constant(x) -> str:
-        constants.append(x)
-        return f"c[{len(constants) - 1}]"
-
-    def tuple_of(items: list[str]) -> str:
-        return f"({', '.join(items)},)" if items else "()"
-
-    atoms = []
-    for atom in (head, *body):
-        if type(atom) is Atom:
-            atoms.append(constant(atom))
-            continue
-        predicate, args = atom
-        parts = []
-        for code in args:
-            if type(code) is int:
-                parts.append(f"v[{code}]")
-            elif type(code) is not tuple:
-                parts.append(constant(code))
-            elif len(code) > _INLINE_LIMIT:
-                parts.append(f"_build({constant(code)}, v)")
+    numbers: dict[int, int] = {}
+    code: list = []
+    todo: list = [*reversed(clause.body), clause.head]
+    while todo:
+        x = todo.pop()
+        cls = x.__class__
+        if cls is Var:
+            code.append(numbers.setdefault(x.id, len(numbers)))
+        elif cls is tuple:  # a compound or atom, all its arguments emitted
+            x, start = x
+            k = len(x.args)
+            if len(code) - start == k and all(map(operator.is_, code[start:], x.args)):
+                del code[start:]
+                code.append(x)
             else:
-                stack: list[str] = []
-                for op in code:
-                    if type(op) is int:
-                        stack.append(f"v[{op}]")
-                    elif type(op) is tuple:
-                        functor, k = op
-                        inner = tuple_of(stack[-k:])
-                        del stack[-k:]
-                        stack.append(f"Compound({constant(functor)}, {inner})")
-                    else:
-                        stack.append(constant(op))
-                parts.append(stack[0])
-        atoms.append(f"Atom({constant(predicate)}, {tuple_of(parts)})")
-    source = f"lambda v, c: Clause({atoms[0]}, {tuple_of(atoms[1:])})"
+                code.append((Compound, x.functor, k) if x.__class__ is Compound else (Atom, x.predicate, k))
+        elif cls is Int or not x.args:
+            code.append(x)
+        else:
+            todo.append((x, len(code)))
+            todo += x.args[::-1]
+    if not numbers:
+        return None
+    if len(code) > _INLINE_LIMIT:
+        return len(numbers), _build, tuple(code)
+    constants: list = []
+    stack: list[str] = []
+    for op in code:
+        if type(op) is int:
+            stack.append(f"v[{op}]")
+        elif type(op) is tuple:
+            cls, name, k = op
+            args = ", ".join(stack[-k:])
+            del stack[-k:]
+            constants.append(name)
+            stack.append(f"{cls.__name__}(c[{len(constants) - 1}], ({args},))")
+        else:
+            constants.append(op)
+            stack.append(f"c[{len(constants) - 1}]")
+    head, *body = stack
+    body = f"({', '.join(body)},)" if body else "()"
+    source = f"lambda v, c: Clause({head}, {body})"
     make = _MAKERS.get(source)
     if make is None:
-        namespace = {"Clause": Clause, "Atom": Atom, "Compound": Compound, "_build": _build}
-        make = _MAKERS[source] = eval(source, namespace)
-    return n, make, tuple(constants)
+        make = _MAKERS[source] = eval(source, {"Clause": Clause, "Atom": Atom, "Compound": Compound})
+    return len(numbers), make, tuple(constants)
 
 
-def _build(code: tuple, variables: Sequence[Term]) -> Term:
-    """Run a postfix term program (see :func:`_compile_clause`)."""
-    stack: list[Term] = []
+def _build(variables: Sequence[Term], code: tuple) -> Clause:
+    """Run a clause's postfix program (see :func:`_compile_clause`) with ``variables`` in its slots."""
+    stack: list = []
     for op in code:
         if type(op) is int:
             stack.append(variables[op])
         elif type(op) is tuple:
-            functor, n = op
-            args = tuple(stack[-n:])
-            del stack[-n:]
-            stack.append(Compound(functor, args))
+            cls, name, k = op
+            args = tuple(stack[-k:])
+            del stack[-k:]
+            stack.append(cls(name, args))
         else:
             stack.append(op)
-    return stack[0]
-
-
-def _compile_clause(clause: Clause) -> tuple | None:
-    """A clause's renaming template, or None when the clause is ground.
-
-    The template is ``(n, head, body)``: ``n`` distinct variables, numbered
-    0 to n-1 in preorder over the head and then the body, and one template
-    per atom. A ground atom is its own template; any other is
-    ``(predicate, argument templates)``. An argument template is a
-    variable's number, a ground term itself, or, for a compound holding a
-    variable, a tuple of postfix operations: a number pushes that
-    variable, ``(functor, arity)`` pops its arguments and pushes the
-    compound, and anything else is a ground term pushed as is. Each
-    argument is walked once, in postorder on its own stack, so term depth
-    is not limited by the recursion limit. A finished compound whose
-    arguments each emitted only themselves is ground, and it replaces
-    their entries. :func:`_maker` turns the template into one function
-    that fills the slots, inlining every argument of at most
-    ``_INLINE_LIMIT`` operations and leaving longer ones to :func:`_build`,
-    so a long list or a deep term costs neither a nested expression that
-    Python's parser refuses nor a long compile. :func:`fresh_rename` calls
-    the function with fresh variables, and
-    :func:`cologic.oracle.ground_instances` with constants.
-    """
-    numbers: dict[int, int] = {}
-    templates = []
-    for atom in (clause.head, *clause.body):
-        args = []
-        for t in atom.args:
-            code: list = []
-            todo: list = [t]
-            while todo:
-                x = todo.pop()
-                if x.__class__ is Var:
-                    code.append(numbers.setdefault(x.id, len(numbers)))
-                elif x.__class__ is Compound and x.args:
-                    todo.append((x, len(code)))
-                    todo.extend(reversed(x.args))
-                elif x.__class__ is tuple:  # a compound, all its arguments emitted
-                    x, start = x
-                    n = len(x.args)
-                    if len(code) - start == n and all(map(operator.is_, code[start:], x.args)):
-                        del code[start:]
-                        code.append(x)
-                    else:
-                        code.append((x.functor, n))
-                else:
-                    code.append(x)
-            # A variable or a ground term stands for itself; a compound needs its program.
-            args.append(code[0] if len(code) == 1 else tuple(code))
-        ground = all(map(operator.is_, args, atom.args))
-        templates.append(atom if ground else (atom.predicate, tuple(args)))
-    if not numbers:
-        return None
-    return len(numbers), templates[0], tuple(templates[1:])
+    return Clause(stack[0], tuple(stack[1:]))
 
 
 def max_var_id(*items) -> int:

@@ -1,4 +1,4 @@
-"""Generated code stays in one place: only the clause-maker builder calls ``eval``."""
+"""Generated code stays in one place: only the clause compiler calls ``eval``."""
 
 from __future__ import annotations
 
@@ -7,8 +7,8 @@ from pathlib import Path
 
 import cologic
 
-#: The one function allowed to run generated source (``terms._maker``).
-ALLOWED = {"terms.py _maker eval"}
+#: The one function allowed to run generated source (``terms._compile_clause``).
+ALLOWED = {"terms.py _compile_clause eval"}
 
 
 def dynamic_calls(path: Path) -> set[str]:

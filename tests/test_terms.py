@@ -95,8 +95,9 @@ def _is_ground(t) -> bool:
     return not term_vars(t)
 
 
-# Lists of at least 17 cells ending in a variable: their postfix code is
-# longer than the inline limit, so makers build them through _build.
+# Lists of at least 17 cells ending in a variable: each cell costs two
+# operations, so a clause holding one has a postfix program longer than the
+# inline limit, and _build runs it instead of a compiled maker.
 long_terms = st.builds(
     lambda items, tail: list_term(items, Var(tail)),
     st.lists(terms, min_size=17, max_size=24),
@@ -105,15 +106,24 @@ long_terms = st.builds(
 
 
 def test_long_terms_exceed_the_inline_limit():
-    code = term_module._compile_clause(Clause(Atom("p", (list_term([Int(0)] * 17, Var(0)),))))[1][1][0]
-    assert len(code) > term_module._INLINE_LIMIT
+    _, make, program = term_module._maker_of(Clause(Atom("p", (list_term([Int(0)] * 17, Var(0)),))))
+    assert make is term_module._build
+    assert len(program) > term_module._INLINE_LIMIT
 
 
-@given(terms | long_terms, terms | long_terms, terms | long_terms)
-def test_fresh_rename_equals_the_recursive_reference(t1, t2, t3):
+# Body atoms over small terms, ground ones included; 0-12 of them put the
+# test's clauses on both sides of the inline limit.
+extra_atoms = st.lists(
+    st.builds(lambda p, args: Atom(p, tuple(args)), st.sampled_from(["q", "t"]), st.lists(terms, max_size=3)),
+    max_size=12,
+)
+
+
+@given(terms | long_terms, terms | long_terms, terms | long_terms, extra_atoms)
+def test_fresh_rename_equals_the_recursive_reference(t1, t2, t3, extra):
     clause = Clause(
         Atom("p", (t1, t2)),
-        (Atom("q", (t2, Compound("g", (t3, Int(0))))), Atom("r", (t3,)), Atom("s", (t1, t3))),
+        (Atom("q", (t2, Compound("g", (t3, Int(0))))), Atom("r", (t3,)), Atom("s", (t1, t3)), *extra),
     )
     source, reference_source = VarSource(100), VarSource(100)
     renamed = fresh_rename(clause, source)
@@ -128,6 +138,14 @@ def test_fresh_rename_equals_the_recursive_reference(t1, t2, t3):
             assert copy is original
         elif isinstance(original, Compound):
             pairs.extend(zip(original.args, copy.args))
+    # Every ground body atom comes back as the same object.
+    for original, copy in zip(clause.body, renamed.body):
+        if _is_ground(original):
+            assert copy is original
+    # No maker inlines more than the limit: each operation of a program
+    # emits exactly one `v[` or `c[` into the maker's source.
+    for source in term_module._MAKERS:
+        assert len(re.findall(r"\b[vc]\[", source)) <= term_module._INLINE_LIMIT, source
 
 
 def test_fresh_rename_shares_ground_parts():
@@ -387,7 +405,7 @@ def test_makers_take_names_from_constants_not_from_their_source():
 
 
 def _assert_sources_hold_no_program_text():
-    allowed = {"lambda", "v", "c", "Clause", "Atom", "Compound", "_build"}
+    allowed = {"lambda", "v", "c", "Clause", "Atom", "Compound"}
     for source in term_module._MAKERS:
         assert re.fullmatch(r"lambda v, c: [\w\[\](), ]+", source), source
         assert set(re.findall(r"[A-Za-z_]\w*", source)) <= allowed, source
@@ -412,14 +430,19 @@ def test_importing_builds_no_maker():
 
 @pytest.mark.parametrize("shape", ["body", "head"])
 def test_wide_clauses_rename_like_the_reference(shape):
-    # 2,000 atoms in the body, or 2,000 arguments in the head, in one maker.
+    # 2,000 atoms in the body, or 2,000 arguments in the head: both programs
+    # are far longer than the inline limit, so _build runs them and no
+    # maker is compiled.
     width = 2_000
     if shape == "body":
         clause = Clause(Atom("p", (Var(0),)),
                         tuple(Atom("q", (Var(i), Compound("f", (Var(i + 1),)))) for i in range(width)))
     else:
         clause = Clause(Atom("p", tuple(Compound("g", (Var(i % 7), Int(i))) for i in range(width))))
+    makers = dict(term_module._MAKERS)
     assert fresh_rename(clause, VarSource(3)) == reference_rename(clause, VarSource(3))
+    assert term_module._maker_of(clause)[1] is term_module._build
+    assert term_module._MAKERS == makers
     _assert_sources_hold_no_program_text()
 
 
