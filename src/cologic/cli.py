@@ -60,14 +60,17 @@ def oracle_report(program: Program) -> str:
     )
 
 
-def _load_program(path: str) -> Program:
+def _load_program(path: str) -> Program | None:
+    """The program in ``path``, or None after printing on stderr why it could not be loaded."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
+        return parse_program(text, origin=path)
     except UnicodeDecodeError as exc:
-        raise CologicError(
-            f"cologic: {path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    return parse_program(text, origin=path)
+        print(f"cologic: {path}: not UTF-8 text ({exc.reason} at byte {exc.start})", file=sys.stderr)
+    except (OSError, CologicError) as exc:
+        print(exc, file=sys.stderr)
+    return None
 
 
 def run_file(
@@ -78,10 +81,8 @@ def run_file(
     oracle: bool = False,
 ) -> int:
     """Load a program, optionally print the oracle report, run the queries."""
-    try:
-        program = _load_program(path) if path else Program()
-    except (OSError, CologicError) as exc:
-        print(exc, file=sys.stderr)
+    program = _load_program(path) if path else Program()
+    if program is None:
         return 2
     had_error = False
     all_answered = True
@@ -116,12 +117,8 @@ def run_file(
 def repl_loop(path: str | None = None, config: EngineConfig | None = None) -> int:
     """Interactive session: queries, ``;`` for the next answer, ``:`` meta-commands."""
     config = config or EngineConfig()
-    program = Program()
-    if path:
-        try:
-            program = _load_program(path)
-        except (OSError, CologicError) as exc:
-            print(exc, file=sys.stderr)
+    loaded = _load_program(path) if path else None
+    program = Program() if loaded is None else loaded
     while True:
         try:
             line = input("?- ").strip()
@@ -140,10 +137,9 @@ def repl_loop(path: str | None = None, config: EngineConfig | None = None) -> in
                 else:
                     print(f"unknown mode {argument!r}", file=sys.stderr)
             elif command == ":load":
-                try:
-                    program = _load_program(argument)
-                except (OSError, CologicError) as exc:
-                    print(exc, file=sys.stderr)
+                loaded = _load_program(argument)
+                if loaded is not None:
+                    program = loaded
             elif command == ":oracle":
                 try:
                     print(oracle_report(program))

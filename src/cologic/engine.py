@@ -53,8 +53,9 @@ never changed once built.
 
 A mode is a pair of clause sets: hypothesis steps resolve with the program
 P, bounded proofs with P plus a co-fact set C as facts, where C is the
-program's co-facts, none (``inductive``) or every atom (``coinductive``).
-Each set is a :class:`cologic.terms.ClauseIndex`, which selects on the
+program's co-facts (``cofacts``) or every atom (``coinductive``). An
+``inductive`` query starts in the bounded stratum over P alone, so it takes
+no hypothesis step. Each set is a :class:`cologic.terms.ClauseIndex`, which selects on the
 predicate and arity, then on the first argument the goal has bound,
 keeping every clause whose head has a variable or the same principal
 symbol there. Every skipped clause would clash in head unification, and
@@ -292,14 +293,24 @@ class LfpCounts:
                     return i
         return None
 
-    def incremented(self, index: int) -> "LfpCounts":
-        snapshot, key, count = self.entries[index]
-        entries = list(self.entries)
-        entries[index] = (snapshot, key, count + 1)
-        return LfpCounts(tuple(entries))
+    def visited(self, atom: Atom, store: BindStore, key: tuple, source: VarSource,
+                limit: int) -> LfpCounts | None:
+        """The counts after a bounded step on ``atom``, or None when its class is at ``limit``.
 
-    def inserted(self, snapshot: Atom, key: tuple) -> "LfpCounts":
-        return LfpCounts(self.entries + ((snapshot, key, 1),))
+        ``key`` is the goal's :func:`lookup_key`; one key per step serves
+        both the lookup and the entry a first visit adds. A first visit
+        appends a snapshot of the atom (fresh variables from ``source``)
+        with count 1. A revisit raises the first unifiable entry's count
+        by one; that entry keeps its own key.
+        """
+        entries = self.entries
+        found = self.lookup(atom, store, key)
+        if found is None:
+            return LfpCounts(entries + ((_snapshot_atom(atom, store, source), key, 1),))
+        snapshot, entry_key, count = entries[found]
+        if count >= limit:
+            return None
+        return LfpCounts(entries[:found] + ((snapshot, entry_key, count + 1),) + entries[found + 1:])
 
 
 # A goal list: None when empty, else ``(atom, context, rest)``.
@@ -334,7 +345,9 @@ def _run(
     at each yield; exhausting the search rolls it back to where it started.
     """
     resolve, hyp_cut = store.resolve, config.hyp_cut
-    steps_left, revisit_limit = config.step_budget, config.lfp_revisit_limit
+    # Without a budget the count starts below zero and never reaches it.
+    steps_left = -1 if config.step_budget is None else config.step_budget
+    revisit_limit = config.lfp_revisit_limit
     base = store.mark()
     choices: list[tuple[int, Atom, _Goals, object, Iterator]] = []
     while True:
@@ -342,24 +355,17 @@ def _run(
             yield
         else:
             atom, context, rest = goals
-            if steps_left is not None:
-                if steps_left == 0:
-                    raise ResourceLimitError(f"step budget of {config.step_budget} exhausted")
-                steps_left -= 1
+            if steps_left == 0:
+                raise ResourceLimitError(f"step budget of {config.step_budget} exhausted")
+            steps_left -= 1
             if is_builtin(atom):
                 if eval_builtin(atom, store):
                     goals = rest
                     continue
             elif isinstance(context, LfpCounts):
-                # One key per step serves both the lookup and the entry it adds.
-                key = lookup_key(atom, resolve)
-                found = context.lookup(atom, store, key)
+                counts = context.visited(atom, store, lookup_key(atom, resolve), source, revisit_limit)
                 # At the revisit limit the atom fails outright, alternatives included.
-                if found is None or context.entries[found][2] < revisit_limit:
-                    if found is None:
-                        counts = context.inserted(_snapshot_atom(atom, store, source), key)
-                    else:
-                        counts = context.incremented(found)
+                if counts is not None:
                     clauses = bounded_index.candidates(atom, resolve)
                     choices.append((store.mark(), atom, rest, counts, iter(clauses)))
             else:

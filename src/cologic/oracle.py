@@ -210,26 +210,10 @@ class BoundedCoinductionReport:
         return self.bounded and self.consistent
 
     def __str__(self) -> str:
-        parts = []
-        if self.bounded:
-            parts.append("boundedness: pass")
-        else:
-            parts.append(
-                f"boundedness: fail (witness {render_atom(self.boundedness_witness)})"
-            )
-        if self.consistent:
-            parts.append("consistency: pass")
-        else:
-            parts.append(
-                f"consistency: fail (witness {render_atom(self.consistency_witness)})"
-            )
-        return "; ".join(parts)
-
-
-def _first_by_render(atoms: frozenset[Atom]) -> Atom | None:
-    if not atoms:
-        return None
-    return min(atoms, key=render_atom)
+        checks = (("boundedness", self.bounded, self.boundedness_witness),
+                  ("consistency", self.consistent, self.consistency_witness))
+        return "; ".join(f"{name}: pass" if ok else f"{name}: fail (witness {render_atom(witness)})"
+                         for name, ok, witness in checks)
 
 
 def bounded_coinduction_check(
@@ -247,7 +231,7 @@ def bounded_coinduction_check(
     unsupported = goals - op_step(ground, goals)
     return BoundedCoinductionReport(
         bounded=not unbounded,
-        boundedness_witness=_first_by_render(unbounded),
+        boundedness_witness=min(unbounded, key=render_atom, default=None),
         consistent=not unsupported,
-        consistency_witness=_first_by_render(unsupported),
+        consistency_witness=min(unsupported, key=render_atom, default=None),
     )

@@ -279,6 +279,28 @@ def test_repl_load_not_utf8_file_reported(not_utf8_path, monkeypatch, capsys):
     assert "true." in captured.out  # the session stays open
 
 
+def test_repl_failed_load_keeps_the_program(running_path, not_utf8_path, tmp_path, monkeypatch, capsys):
+    missing = tmp_path / "missing.colp"
+    lines = [f":load {missing}", f":load {not_utf8_path}", MAX_QUERY, "", ":quit"]
+    code, captured = _run_repl(monkeypatch, capsys, lines, [running_path])
+    assert code == 0
+    assert captured.err.splitlines() == [
+        f"[Errno 2] No such file or directory: '{missing}'",
+        f"cologic: {not_utf8_path}: not UTF-8 text (invalid start byte at byte 0)"]
+    assert "L = [1, 2|L]\nM = 2" in captured.out  # answered from the running example
+
+
+def test_repl_load_of_an_empty_program_replaces_the_program(running_path, tmp_path, monkeypatch, capsys):
+    empty = tmp_path / "empty.colp"
+    empty.write_text("", encoding="utf-8")
+    lines = [f":load {empty}", MAX_QUERY, ":quit"]
+    code, captured = _run_repl(monkeypatch, capsys, lines, [running_path])
+    assert code == 0
+    assert captured.err == ""
+    assert "M = 2" not in captured.out
+    assert "false." in captured.out  # max/2 is gone with the running example
+
+
 def test_repl_oracle_meta_command(pq_path, monkeypatch, capsys):
     code, captured = _run_repl(monkeypatch, capsys, [":oracle", ":quit"], [pq_path])
     assert "Gen(P,C) = {}" in captured.out

@@ -295,6 +295,43 @@ def test_lfp_revisit_limit_configurable():
     assert not any(True for _ in runs)
 
 
+def test_first_visit_appends_a_snapshot_with_count_one():
+    store = BindStore()
+    goal = Atom("p", (Int(1), Var(0)))
+    key = lookup_key(goal, store.resolve)
+    old = LfpCounts(((atom("q", 1), ("q", 1, 1), 1),))
+    source = VarSource(100)
+    counts = old.visited(goal, store, key, source, 2)
+    # The open argument is copied with a fresh variable; the closed one is kept.
+    assert counts.entries == (old.entries[0], (Atom("p", (Int(1), Var(100))), key, 1))
+    assert source.next_id == 101 and store.mark() == 0
+
+
+def test_revisit_raises_the_first_unifiable_entry_and_keeps_its_key():
+    store = BindStore()
+    general, specific = Atom("p", (Var(0),)), atom("p", 1)
+    entries = ((atom("q", 1), ("q", 1, 1), 1), (general, ("p", 1), 1), (specific, ("p", 1, 1), 1))
+    goal = atom("p", 1)
+    key = lookup_key(goal, store.resolve)
+    assert key == ("p", 1, 1)
+    source = VarSource(100)
+    counts = LfpCounts(entries).visited(goal, store, key, source, 2)
+    assert counts.entries == (entries[0], (general, ("p", 1), 2), entries[2])
+    assert source.next_id == 100 and store.mark() == 0
+
+
+@pytest.mark.parametrize("count, limit", [(1, 1), (2, 2), (5, 3)])
+def test_visit_at_the_limit_fails_and_changes_nothing(count, limit):
+    store = BindStore()
+    goal = atom("p", 1)
+    key = lookup_key(goal, store.resolve)
+    entries = ((goal, key, count),)
+    counts, source = LfpCounts(entries), VarSource(100)
+    assert counts.visited(goal, store, key, source, limit) is None
+    assert counts.entries == entries
+    assert source.next_id == 100 and store.mark() == 0
+
+
 # revisit-count snapshots
 
 
@@ -474,6 +511,17 @@ def test_budget_signal_is_distinct_from_failure():
         list(solve(loop, parse_query("p."), EngineConfig(hyp_cut=False, step_budget=500)))
     # same query, enough budget to fail honestly under the cut
     assert ask(loop, "p.", step_budget=500) is None
+
+
+def test_step_budget_counts_every_step():
+    # Three builtin goals take three steps: a budget of 3 suffices, 2 does not.
+    text = "?- X = 1, Y = 2, Z = 3."
+    for budget in (3, None):
+        answer = ask(Program(), text, step_budget=budget)
+        assert answer.equations == [("X", Int(1)), ("Y", Int(2)), ("Z", Int(3))]
+    with pytest.raises(ResourceLimitError) as raised:
+        ask(Program(), text, step_budget=2)
+    assert str(raised.value) == "step budget of 2 exhausted"
 
 
 def test_instantiation_error_propagates(running):

@@ -66,7 +66,7 @@ def _build(run, store: BindStore):
         pushed.append(atom)
         hyps = (atom, key, hyps)
         # The engine stores a snapshot; the atom itself keeps the test small.
-        counts = counts.inserted(atom, key)
+        counts = LfpCounts(counts.entries + ((atom, key, 1),))
         bind_all(later, store)
     return pushed, hyps, counts
 

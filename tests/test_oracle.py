@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cologic import (
+    BoundedCoinductionReport,
     Clause,
     Compound,
     GroundUniverse,
@@ -325,6 +326,18 @@ def test_bounded_check_pq_witnesses(pq, pq_universe):
     assert report.consistency_witness == atom("p", 0)
     assert not report.passed
     assert "consistency: fail" in str(report)
+
+
+@pytest.mark.parametrize("bounded, consistent, text", [
+    (True, True, "boundedness: pass; consistency: pass"),
+    (False, True, "boundedness: fail (witness q(1)); consistency: pass"),
+    (True, False, "boundedness: pass; consistency: fail (witness p(0))"),
+    (False, False, "boundedness: fail (witness q(1)); consistency: fail (witness p(0))"),
+])
+def test_bounded_check_report_text(bounded, consistent, text):
+    report = BoundedCoinductionReport(
+        bounded, None if bounded else atom("q", 1), consistent, None if consistent else atom("p", 0))
+    assert str(report) == text
 
 
 def test_bounded_check_empty_goal_vacuous(pq, pq_universe):
