@@ -58,7 +58,8 @@ program's co-facts (``cofacts``) or every atom (``coinductive``). An
 no hypothesis step. Each set is a :class:`cologic.terms.ClauseIndex`, which selects on the
 predicate and arity, then on the first argument the goal has bound,
 keeping every clause whose head has a variable or the same principal
-symbol there. Every skipped clause would clash in head unification, and
+symbol there; a bound first argument's symbol is read from the step's
+lookup key, so the step walks the goal's arguments once. Every skipped clause would clash in head unification, and
 program order is kept, so answers and their order are those of a scan.
 An index is built on the first query that needs it and kept, which is
 safe because :class:`~cologic.terms.Program` is immutable.
@@ -147,9 +148,16 @@ def eval_arith(t: Term, store: BindStore) -> int:
     Postfix, left operand first, on its own stack, so any depth works. A
     class met again while its value is still open makes the term cyclic.
     """
-    t = store.resolve(t)
-    if t.__class__ is Int:  # the common case needs no stack
+    resolve = store.resolve
+    t = resolve(t)
+    if t.__class__ is Int:  # the common cases need no stack
         return t.value
+    if t.__class__ is Compound and len(t.args) == 2:
+        op = _ARITH.get(t.functor)
+        a, b = resolve(t.args[0]), resolve(t.args[1])
+        if (op is not None and a.__class__ is Int and b.__class__ is Int
+                and (b.value or op is not operator.floordiv)):
+            return op(a.value, b.value)
     values: list[int] = []
     done: dict[int, int | None] = {}  # class -> value of its binding, None while open
     todo: list = [t]
@@ -225,19 +233,22 @@ def lookup_key(atom: Atom, resolve: Callable[[Term], Term]) -> tuple:
     (:func:`keys_fit`): before the first variable in either, both preorders
     visit the same positions.
     """
-    key = [atom.predicate, len(atom.args)]
-    todo = list(reversed(atom.args))
-    while todo and len(key) < 2 + _KEY_SYMBOLS:
+    args = atom.args
+    key = [atom.predicate, len(args)]
+    todo = [*args[::-1]]
+    room = _KEY_SYMBOLS
+    while todo and room:
         t = todo.pop()
         if t.__class__ is Var:
             t = resolve(t)
             if t.__class__ is Var:
                 break
+        room -= 1
         if t.__class__ is Int:
             key.append(t.value)
         else:
             key.append((t.functor, len(t.args)))
-            todo.extend(reversed(t.args))
+            todo += t.args[::-1]
     return tuple(key)
 
 
@@ -363,20 +374,22 @@ def _run(
                     goals = rest
                     continue
             elif isinstance(context, LfpCounts):
-                counts = context.visited(atom, store, lookup_key(atom, resolve), source, revisit_limit)
+                key = lookup_key(atom, resolve)
+                counts = context.visited(atom, store, key, source, revisit_limit)
                 # At the revisit limit the atom fails outright, alternatives included.
                 if counts is not None:
-                    clauses = bounded_index.candidates(atom, resolve)
+                    clauses = bounded_index.candidates(atom, key, resolve)
                     choices.append((store.mark(), atom, rest, counts, iter(clauses)))
             else:
                 key = lookup_key(atom, resolve)
                 hits = hyp_lookup(atom, context, store, key)
-                if hits and hyp_cut:
-                    clauses = ()
+                if not hits:
+                    alternatives = iter(index.candidates(atom, key, resolve))
+                elif hyp_cut:
+                    alternatives = iter(hits)
                 else:
-                    clauses = index.candidates(atom, resolve)
-                pushed = (atom, key, context)
-                choices.append((store.mark(), atom, rest, pushed, chain(hits, clauses)))
+                    alternatives = chain(hits, index.candidates(atom, key, resolve))
+                choices.append((store.mark(), atom, rest, (atom, key, context), alternatives))
         # Backtrack to the newest choice point with an alternative that applies.
         while True:
             if not choices:
@@ -500,6 +513,11 @@ def solve(
 ) -> Iterator[Answer]:
     """Lazily enumerate answers for a query against a program.
 
+    Fresh variables start above the program's and the query's. The first
+    fresh id comes from the parser: a parsed query carries the next id it
+    would have given out (``Query.next_var_id``). Only a bare goal or a
+    query built without that id is walked for its largest variable id.
+
     Unknown predicates simply fail. Exhausting a configured step budget
     raises :class:`ResourceLimitError`; builtin misuse raises
     :class:`InstantiationError`. Both are distinct from running out of
@@ -507,10 +525,12 @@ def solve(
     """
     config = config or EngineConfig()
     if isinstance(query, Goal):
-        goal, var_names = query, {}
+        goal, var_names, next_id = query, {}, None
     else:
-        goal, var_names = query.goal, query.var_names
-    source = VarSource(max(program.next_var_id, max_var_id(goal) + 1))
+        goal, var_names, next_id = query.goal, query.var_names, query.next_var_id
+    if next_id is None:
+        next_id = max_var_id(goal) + 1
+    source = VarSource(max(program.next_var_id, next_id))
     if config.mode == "cofacts":
         index, bounded_index, context = program.index, program.extended_index, None
     elif config.mode == "inductive":

@@ -173,10 +173,10 @@ def ind_semantics(clauses: Sequence[Clause], universe: GroundUniverse) -> frozen
 
     Computed once per clause sequence and universe, and kept on the universe.
     """
-    ground = ground_instances(clauses, universe)
     key = tuple(clauses)
     least = universe._least.get(key)
     if least is None:
+        ground = ground_instances(clauses, universe)
         least = universe._least[key] = _fixpoint(lambda interp: op_step(ground, interp), frozenset())
     return least
 

@@ -17,9 +17,13 @@ underscore-initial are variables, ``_`` alone is anonymous (each occurrence
 fresh). ``%`` starts a comment to end of line. An entry ``cofact(A).``
 declares ``A`` as a co-fact and must have no body.
 
-The text is scanned once by one regular expression, and terms are read by
-one loop over an explicit stack, so nesting depth is bounded by memory,
-not by Python's recursion limit.
+The text is scanned once, by one ``findall`` over one regular expression;
+each token's kind comes from a table of punctuation marks or from its
+first character. Tokens keep no offsets: a :class:`ParseError` finds its
+token's offset with a second scan of the same pattern. Every unexpected
+character is reported before any syntax error. Terms are read by one
+loop over an explicit stack, so nesting depth is bounded by memory, not
+by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -43,44 +47,51 @@ from .terms import (
     list_term,
 )
 
-# Blanks and comments match the group-less first branch. Then, by group:
-# 1 a decimal integer, 2 a word, 3 a punctuation mark (longest first),
-# 4 any other character.
+# One scan finds every token. Blanks and comments match with the group empty;
+# a token is a decimal integer, a word, a punctuation mark (longest first) or
+# any other character.
 _TOKEN = re.compile(
-    r"[ \t\r\n]+|%[^\n]*|(\d+)|(\w+)"
-    r"|(=:=|=\\=|:-|\?-|=<|>=|\\=|//|[-=<>+*()\[\],|.])|(.)"
+    r"[ \t\r\n]+|%[^\n]*"
+    r"|(\d+|\w+|=:=|=\\=|:-|\?-|=<|>=|\\=|//|[-=<>+*()\[\],|.]|.)"
 )
+# A punctuation mark's kind is the mark itself.
+_MARKS = {mark: mark for mark in ("=:=", "=\\=", ":-", "?-", "=<", ">=", "\\=", "//", *"-=<>+*()[],|.")}
 
 
-def _error(message: str, text: str, offset: int, origin: str) -> ParseError:
+def _kind(first: str) -> str | None:
+    """The kind of any other token, by its first character: None for an unexpected one."""
+    if first.isdecimal():
+        return "int"
+    if first.isalpha():
+        return "var" if first.isupper() else "name"
+    return "var" if first == "_" else None
+
+
+def _error(message: str, text: str, index: int, origin: str) -> ParseError:
+    """A ParseError at the ``index``-th token of ``text``, located by a second scan."""
+    starts = [match.start() for match in _TOKEN.finditer(text) if match.lastindex]
+    # End of input sits at the start of a comment that ends the text, not
+    # after it, so an error found there points at the comment.
+    end = text.find("%", text.rfind("\n") + 1)
+    offset = (starts + [len(text) if end < 0 else end])[index]
     line_start = text.rfind("\n", 0, offset) + 1
     return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1, origin)
 
 
-def _tokenize(text: str, origin: str) -> list[tuple[str, str, int]]:
-    """Tokens as (kind, text, offset) tuples, ending with an "eof" token.
+def _tokenize(text: str, origin: str) -> list[tuple[str, str]]:
+    """Tokens as (kind, text) pairs, ending with an "eof" token.
 
-    ``kind`` is "int", "name", "var" or the punctuation mark itself.
+    ``kind`` is "int", "name", "var" or the punctuation mark itself. A
+    token's offset is found again only for an error message.
     """
-    tokens: list[tuple[str, str, int]] = []
-    append = tokens.append
-    for match in _TOKEN.finditer(text):
-        group = match.lastindex
-        if group is None:
-            continue
-        word = match[group]
-        if group == 3:
-            append((word, word, match.start()))
-        elif group == 1:
-            append(("int", word, match.start()))
-        elif group == 2 and (word[0].isalpha() or word[0] == "_"):
-            append(("var" if word[0] == "_" or word[0].isupper() else "name", word, match.start()))
-        else:
-            raise _error(f"unexpected character {word[0]!r}", text, match.start(), origin)
-    # End of input sits at the start of a comment that ends the text, not after
-    # it, so an error found there points at the comment.
-    end = text.find("%", text.rfind("\n") + 1)
-    tokens.append(("eof", "", len(text) if end < 0 else end))
+    tokens: list[tuple[str, str]] = []
+    append, marks = tokens.append, _MARKS
+    for word in filter(None, _TOKEN.findall(text)):
+        kind = marks.get(word) or _kind(word[0])
+        if kind is None:
+            raise _error(f"unexpected character {word[0]!r}", text, len(tokens), origin)
+        append((kind, word))
+    append(("eof", ""))
     return tokens
 
 
@@ -95,19 +106,19 @@ class _Parser:
         # var name -> Var, scoped to the current clause or query
         self.scope: dict[str, Var] = {}
 
-    def fail(self, message: str, token: tuple[str, str, int] | None = None):
-        token = token or self.tokens[self.pos]
-        raise _error(message, self.text, token[2], self.origin)
+    def fail(self, message: str, index: int | None = None):
+        """Raise a ParseError at token ``index``, by default the current one."""
+        raise _error(message, self.text, self.pos if index is None else index, self.origin)
 
-    def fail_expected(self, what: str, token: tuple[str, str, int]):
-        self.fail(f"expected {what} but found {token[1] or 'end of input'!r}", token)
+    def fail_expected(self, what: str, index: int):
+        self.fail(f"expected {what} but found {self.tokens[index][1] or 'end of input'!r}", index)
 
     def at(self, kind: str) -> bool:
         return self.tokens[self.pos][0] == kind
 
     def expect(self, kind: str) -> None:
         if not self.at(kind):
-            self.fail_expected(repr(kind), self.tokens[self.pos])
+            self.fail_expected(repr(kind), self.pos)
         self.pos += 1
 
     # term parsing
@@ -127,8 +138,7 @@ class _Parser:
         sum_left = mul_left = None
         sum_op = mul_op = ""
         while True:
-            token = tokens[pos]
-            kind, text = token[0], token[1]
+            kind, text = tokens[pos]
             pos += 1
             if kind == "var":
                 if text == "_":
@@ -152,21 +162,19 @@ class _Parser:
                 continue
             else:
                 if kind == "-" and tokens[pos][0] == "int":
-                    token = tokens[pos]
-                    kind, text = "int", "-" + token[1]
+                    kind, text = "int", "-" + tokens[pos][1]
                     pos += 1
                 if kind != "int":
-                    self.fail_expected("a term", token)
+                    self.fail_expected("a term", pos - 1)
                 try:
                     value = Int(int(text))
                 except ValueError:  # longer than the interpreter converts
-                    self.fail("integer literal too long", token)
+                    self.fail("integer literal too long", pos - 1)
             # Fold the primary into its frame and close every bracket it ends.
             while True:
                 if mul_op:
                     value = Compound(mul_op, (mul_left, value))
-                token = tokens[pos]
-                kind = token[0]
+                kind = tokens[pos][0]
                 if kind == "*" or kind == "//":
                     mul_left, mul_op = value, kind
                     break
@@ -189,7 +197,7 @@ class _Parser:
                     break
                 close = "]" if frame == "[" or frame == "|" else ")"
                 if kind != close:
-                    self.fail_expected(repr(close), token)
+                    self.fail_expected(repr(close), pos)
                 pos += 1
                 if frame == "call":
                     items.append(value)
@@ -205,13 +213,13 @@ class _Parser:
     # atom parsing
 
     def atom(self) -> Atom:
-        start = self.tokens[self.pos]
+        start = self.pos
         left = self.term()
-        token = self.tokens[self.pos]
+        mark = self.tokens[self.pos][1]
         # Only a name token can read "is", only punctuation the other infix marks.
-        if token[1] in _INFIX_PREDICATES:
+        if mark in _INFIX_PREDICATES:
             self.pos += 1
-            return Atom(token[1], (left, self.term()))
+            return Atom(mark, (left, self.term()))
         if isinstance(left, Compound):
             return Atom(left.functor, left.args)
         self.fail("expected a predicate atom", start)
@@ -230,7 +238,7 @@ class _Parser:
         cofacts: list[Atom] = []
         while not self.at("eof"):
             self.scope = {}
-            start = self.tokens[self.pos]
+            start = self.pos
             head = self.atom()
             body: tuple[Atom, ...] = ()
             if self.at(":-"):
@@ -251,18 +259,18 @@ class _Parser:
         return Program(tuple(clauses), tuple(cofacts), self.var_names)
 
     def query(self) -> Query:
-        if self.at("?-"):
-            self.pos += 1
+        tokens = self.tokens
+        self.pos = 1 if tokens[0][0] == "?-" else 0
         atoms: tuple[Atom, ...] = ()
-        if not self.at("eof") and not self.at("."):
+        if tokens[self.pos][0] not in ("eof", "."):
             atoms = self.body()
-        if self.at("."):
+        if tokens[self.pos][0] == ".":
             self.pos += 1
-        if not self.at("eof"):
+        if tokens[self.pos][0] != "eof":
             self.fail("trailing input after query")
-        atoms = tuple(a for a in atoms if not (a.predicate == "true" and a.arity == 0))
-        names = {var.id: name for name, var in self.scope.items()}
-        return Query(Goal(atoms), names)
+        if ("name", "true") in tokens:  # only then can an atom be ``true``
+            atoms = tuple(a for a in atoms if a.predicate != "true" or a.args)
+        return Query(Goal(atoms), self.var_names, self.vars.next_id)
 
 
 def parse_program(text: str, origin: str = "<string>") -> Program:

@@ -349,36 +349,42 @@ class ClauseIndex:
     position's table is built once, by the first goal bound there.
     """
 
-    __slots__ = ("_groups", "_tables")
+    __slots__ = ("_groups",)
 
     def __init__(self, clauses: Iterable[Clause]):
         groups: dict[tuple[str, int], list[Clause]] = {}
         for clause in clauses:
             groups.setdefault((clause.head.predicate, clause.head.arity), []).append(clause)
-        self._groups = {key: tuple(group) for key, group in groups.items()}
-        # (predicate, arity, position) -> (principal symbol -> the clauses
-        # with it or a variable there, the clauses with a variable there)
-        self._tables: dict[tuple, tuple[dict, tuple[Clause, ...]]] = {}
+        # (predicate, arity) -> (its clauses, position -> (principal symbol ->
+        # the clauses with it or a variable there, the clauses with a variable there))
+        self._groups: dict[tuple[str, int], tuple[tuple[Clause, ...], dict]] = {
+            key: (tuple(group), {}) for key, group in groups.items()}
 
-    def candidates(self, atom: Atom, resolve: Callable[[Term], Term]) -> Sequence[Clause]:
+    def candidates(self, atom: Atom, key: tuple, resolve: Callable[[Term], Term]) -> Sequence[Clause]:
         """The clauses whose head may unify with ``atom``, in sequence order.
 
-        ``resolve`` dereferences a goal argument one level (see
+        ``key`` is the atom's :func:`cologic.engine.lookup_key`: past the
+        predicate and arity it starts with the first argument's principal
+        symbol when that argument is bound. Otherwise the later arguments
+        are dereferenced one level through ``resolve`` (see
         :meth:`cologic.unify.BindStore.resolve`).
         """
-        clauses = self._groups.get((atom.predicate, len(atom.args)))
-        if clauses is None:
+        group = self._groups.get((atom.predicate, len(atom.args)))
+        if group is None:
             return ()
-        for position, arg in enumerate(atom.args):
-            symbol = _principal(resolve(arg))
-            if symbol is not None:
-                break
+        clauses, tables = group
+        if len(key) > 2:
+            position, symbol = 0, key[2]
         else:
-            return clauses
-        key = (atom.predicate, len(atom.args), position)
-        table = self._tables.get(key)
+            for position, arg in enumerate(atom.args[1:], 1):
+                symbol = _principal(resolve(arg))
+                if symbol is not None:
+                    break
+            else:
+                return clauses
+        table = tables.get(position)
         if table is None:
-            table = self._tables[key] = _position_table(clauses, position)
+            table = tables[position] = _position_table(clauses, position)
         by_symbol, unkeyed = table
         return by_symbol.get(symbol, unkeyed)
 
@@ -401,10 +407,16 @@ def _position_table(clauses: Sequence[Clause], position: int) -> tuple[dict, tup
 
 @dataclass
 class Query:
-    """A goal plus the name table of its variables, for answer reporting."""
+    """A goal plus the name table of its variables, for answer reporting.
+
+    ``next_var_id``, when set, is above every variable id in the goal; the
+    parser sets it to the next id it would have given out. It is left out
+    of the ``repr`` and of equality.
+    """
 
     goal: Goal
     var_names: dict[int, str] = field(default_factory=dict)
+    next_var_id: int | None = field(default=None, repr=False, compare=False)
 
 
 class VarSource:

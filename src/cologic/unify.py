@@ -19,6 +19,7 @@ argument pairs on one stack.
 
 from __future__ import annotations
 
+from operator import is_not
 from typing import Sequence
 
 from .errors import InternalError
@@ -175,6 +176,8 @@ def extract_answer(
     name, so the equations are self-contained. Both walks keep their own
     stacks, so any depth and any cycle length work.
     """
+    if not query_vars:  # a ground query's answer is the empty equation set
+        return [], {}
     rep_name: dict[int, str] = {}
     for name, vid in query_vars:
         rep_name.setdefault(store.find(vid), name)
@@ -219,17 +222,18 @@ def extract_answer(
     def expand(t: Term) -> Term:
         # Inlines the binding of every class that is neither cyclic nor
         # named. Preorder, left to right, so fresh names follow reading
-        # order; a (functor, arity) entry builds its compound from the last
-        # ``arity`` results.
+        # order; a ``(compound,)`` entry takes its arguments from the last
+        # results, and rebuilds the compound only if one of them changed.
         out: list[Term] = []
         pending: list = [t]
         while pending:
             t = pending.pop()
             if t.__class__ is tuple:
-                functor, n = t
-                args = tuple(out[-n:])
+                t = t[0]
+                n = len(t.args)
+                args = out[-n:]
                 del out[-n:]
-                out.append(Compound(functor, args))
+                out.append(Compound(t.functor, tuple(args)) if any(map(is_not, args, t.args)) else t)
             elif t.__class__ is Var:
                 rep = store.find(t.id)
                 bound = store.resolve(t)
@@ -245,7 +249,7 @@ def extract_answer(
                 else:
                     pending.append(bound)
             elif t.__class__ is Compound and t.args:
-                pending.append((t.functor, len(t.args)))
+                pending.append((t,))
                 pending += reversed(t.args)
             else:
                 out.append(t)

@@ -7,9 +7,11 @@ store, `variant_equal` across two, as when answers are rebuilt in fresh
 stores), and `unfold` gives a bounded tree-expansion oracle for cyclic
 equality. The `reference_*` functions are the plain recursive forms of
 walks the package runs on explicit stacks, `reference_candidates` the
-clause scan that the index's tables replaced, and `ReferenceBindStore`
-with `reference_unify`/`reference_unify_atoms` the two-table store and
-unifier that the one-table store replaced, kept as differential oracles.
+clause scan that the index's tables replaced, `reference_tokenize` the
+tokenizer with one regex group per token class and an offset per token,
+and `ReferenceBindStore` with `reference_unify`/`reference_unify_atoms`
+the two-table store and unifier that the one-table store replaced, kept
+as differential oracles.
 `run_goals` runs the engine's search loop from a chosen store and
 context, which `solve` never starts from.
 """
@@ -17,6 +19,7 @@ context, which `solve` never starts from.
 from __future__ import annotations
 
 import operator
+import re
 from typing import Sequence
 
 from cologic import (
@@ -27,6 +30,7 @@ from cologic import (
     EngineConfig,
     Goal,
     Int,
+    ParseError,
     Program,
     Query,
     Term,
@@ -146,6 +150,42 @@ def reference_render_term(t: Term, names: dict[int, str] | None = None) -> str:
     if not t.args:
         return t.functor
     return t.functor + "(" + ", ".join(reference_render_term(a, names) for a in t.args) + ")"
+
+
+_REFERENCE_TOKEN = re.compile(
+    r"[ \t\r\n]+|%[^\n]*|(\d+)|(\w+)"
+    r"|(=:=|=\\=|:-|\?-|=<|>=|\\=|//|[-=<>+*()\[\],|.])|(.)"
+)
+
+
+def reference_tokenize(text: str, origin: str = "<string>") -> list[tuple[str, str, int]]:
+    """Tokens as (kind, text, offset), one regex group per class: the reference for the parser's ``_tokenize``.
+
+    Raises :class:`ParseError` at the first unexpected character.
+    """
+    tokens: list[tuple[str, str, int]] = []
+    for match in _REFERENCE_TOKEN.finditer(text):
+        group = match.lastindex
+        if group is None:
+            continue
+        word = match[group]
+        if group == 3:
+            tokens.append((word, word, match.start()))
+        elif group == 1:
+            tokens.append(("int", word, match.start()))
+        elif group == 2 and (word[0].isalpha() or word[0] == "_"):
+            tokens.append(("var" if word[0] == "_" or word[0].isupper() else "name", word, match.start()))
+        else:
+            line, column = reference_line_column(text, match.start())
+            raise ParseError(f"unexpected character {word[0]!r}", line, column, origin)
+    end = text.find("%", text.rfind("\n") + 1)
+    tokens.append(("eof", "", len(text) if end < 0 else end))
+    return tokens
+
+
+def reference_line_column(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of ``offset`` in ``text``."""
+    return text.count("\n", 0, offset) + 1, offset - (text.rfind("\n", 0, offset) + 1) + 1
 
 
 def _reference_principal(t: Term):

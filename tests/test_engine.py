@@ -122,6 +122,17 @@ def test_division_by_zero():
         eval_builtin(Atom("is", (Var(0), Compound("//", (Int(1), Int(0))))), store)
 
 
+def test_arithmetic_errors_past_the_two_integer_shortcut():
+    # Two integer operands are applied at once; every other case raises as before.
+    assert ask(Program(), "?- X is max(7, 1) // 2.").equations[0] == ("X", Int(3))
+    with pytest.raises(EvaluationError, match="^division by zero$"):
+        ask(Program(), "?- X is 7 // 0.")
+    with pytest.raises(InstantiationError, match="^unbound variable in arithmetic$"):
+        ask(Program(), "?- X is max(Y, 1).")
+    with pytest.raises(InstantiationError, match=r"^cannot evaluate f\(1, 2\) as an integer$"):
+        ask(Program(), "?- X is f(1, 2).")
+
+
 def test_cyclic_arithmetic_raises_instantiation_error():
     # X = X + 1 binds X to an infinite sum: its value is met again while
     # it is still being evaluated, in either operand position.
@@ -865,10 +876,40 @@ def test_index_keeps_program_order_in_every_mode(indexed, mode):
 
 def test_index_selects_on_the_first_bound_position(indexed):
     program, _ = indexed
-    goal = Atom("k", (Var(1000), Compound("const")))
-    assert _labels(program.index.candidates(goal, BindStore().resolve)) == ["const"]
+    goal, resolve = Atom("k", (Var(1000), Compound("const"))), BindStore().resolve
+    assert _labels(program.index.candidates(goal, lookup_key(goal, resolve), resolve)) == ["const"]
     assert _column(program, "?- k(A, const).", "A") == ["a"]
     assert _column(program, "?- k(A, var2).", "A") == ["A"]  # left unbound
+
+
+def test_index_reads_a_bound_first_argument_from_the_key(indexed):
+    program, _ = indexed
+    store = BindStore()
+    X = Var(1000)
+    assert unify(X, Compound("a"), store)
+    goal = Atom("k", (X, Var(1001)))
+    key = lookup_key(goal, store.resolve)
+
+    def no_resolve(term):
+        raise AssertionError(f"resolved {term!r}")
+
+    expected = ["var", "const", "const2", "var2"]
+    assert _labels(program.index.candidates(goal, key, no_resolve)) == expected
+
+
+def test_solve_walks_the_goal_only_without_a_parsed_bound(monkeypatch):
+    walks = []
+    walk = engine.max_var_id
+    monkeypatch.setattr(engine, "max_var_id", lambda *items: walks.append(items) or walk(*items))
+    program = parse_program("p(f(X)).")
+    query = parse_query("?- p(Y), Z = Y.")
+    expected = [[("Y", Compound("f", (Var(2),))), ("Z", Compound("f", (Var(2),)))]]
+    assert [a.equations for a in solve(program, query)] == expected
+    assert walks == []
+    # A hand-built query and a bare goal are walked, and answer the same.
+    assert [a.equations for a in solve(program, Query(query.goal, query.var_names))] == expected
+    assert [a.equations for a in solve(program, query.goal)] == [[]]
+    assert walks == [(query.goal,), (query.goal,)]
 
 
 def test_index_dereferences_an_alias_chain(indexed):
@@ -877,8 +918,8 @@ def test_index_dereferences_an_alias_chain(indexed):
     X, Y, Z = Var(1000), Var(1001), Var(1002)
     assert unify(X, Y, store) and unify(Y, Z, store) and unify(Z, Compound("a"), store)
     goal = Atom("k", (X, Var(1003)))
-    assert _labels(program.index.candidates(goal, store.resolve)) == [
-        "var", "const", "const2", "var2"]
+    key = lookup_key(goal, store.resolve)
+    assert _labels(program.index.candidates(goal, key, store.resolve)) == ["var", "const", "const2", "var2"]
     query = "?- X = Y, Y = Z, Z = a, k(X, B)."
     assert _column(program, query, "B") == ["var", "const", "const2", "var2"]
 
@@ -901,8 +942,9 @@ def test_index_cofacts_last_in_bounded_stratum_only(indexed):
         assert [render_term(store.resolve(B)) for _ in runs] == expected
     store = BindStore()
     goal = Atom("k", (Compound("a"), Var(1000)))
-    assert _labels(program.extended_index.candidates(goal, store.resolve))[-1] == "cofact"
-    assert "cofact" not in _labels(program.index.candidates(goal, store.resolve))
+    key = lookup_key(goal, store.resolve)
+    assert _labels(program.extended_index.candidates(goal, key, store.resolve))[-1] == "cofact"
+    assert "cofact" not in _labels(program.index.candidates(goal, key, store.resolve))
 
 
 # Head arguments for the random groups: variables, constants, integers,
@@ -955,9 +997,10 @@ def test_index_picks_what_a_scan_picks(heads, cofacts, goals):
         for index, sequence in ((program.index, program.clauses),
                                 (program.extended_index, program.extended())):
             expected = reference_candidates(sequence, goal, store.resolve)
+            key = lookup_key(goal, store.resolve)
             # The first call builds the position's table; the second reads it.
-            assert list(index.candidates(goal, store.resolve)) == expected
-            assert list(index.candidates(goal, store.resolve)) == expected
+            assert list(index.candidates(goal, key, store.resolve)) == expected
+            assert list(index.candidates(goal, key, store.resolve)) == expected
 
 
 def test_program_is_immutable(indexed):

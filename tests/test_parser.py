@@ -6,7 +6,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cologic import (
@@ -15,6 +15,7 @@ from cologic import (
     Compound,
     Int,
     ParseError,
+    Query,
     Var,
     list_term,
     parse_program,
@@ -22,8 +23,19 @@ from cologic import (
     render_program,
     render_term,
 )
+from cologic import parser
+from cologic.parser import _error, _tokenize
+from cologic.terms import max_var_id
 from corpus import random_datalog_program
-from helpers import PQ_EXAMPLE, RUNNING_EXAMPLE, alpha_equal_clause, alpha_equal_program, term_vars
+from helpers import (
+    PQ_EXAMPLE,
+    RUNNING_EXAMPLE,
+    alpha_equal_clause,
+    alpha_equal_program,
+    reference_line_column,
+    reference_tokenize,
+    term_vars,
+)
 
 
 def test_running_example_counts():
@@ -184,6 +196,84 @@ def test_tokenizer_never_crashes_on_noise():
             assert err.line >= 1 and err.column >= 1
 
 
+# Every first-character class the tokenizer tells apart: ASCII letters,
+# digits and marks, a mark that is no token ('?'), digits that are not
+# decimal ('²', '½'), an uppercase letter-like numeral ('Ⅻ'), a decimal
+# digit outside ASCII ('٣'), a lowercase letter outside ASCII ('é') and
+# blanks that are no separator ('\x0b', '\xa0').
+TOKEN_ALPHABET = "ap X_01,.()[]|:-=<>+*/%\n\t \\?²½Ⅻ٣é\x0b\xa0"
+
+
+@settings(max_examples=400)
+@given(st.text(TOKEN_ALPHABET, max_size=30))
+def test_tokenizer_matches_the_reference(text):
+    try:
+        expected = reference_tokenize(text, "<t>")
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            _tokenize(text, "<t>")
+        assert (got.value.message, got.value.line, got.value.column) == (err.message, err.line, err.column)
+        return
+    assert _tokenize(text, "<t>") == [(kind, word) for kind, word, _ in expected]
+    # Offsets are found again only for an error: each token's must be the reference's.
+    for index, (_, _, offset) in enumerate(expected):
+        err = _error("m", text, index, "<t>")
+        assert (err.line, err.column) == reference_line_column(text, offset)
+    try:
+        query = parse_query(text)
+    except ParseError:
+        return
+    assert query.next_var_id == max_var_id(query.goal) + 1
+
+
+_QUERY_ARGS = st.sampled_from(["X", "Y", "_", "_Z", "1", "a", "f(X, _)", "[X|_]", "Y + 2"])
+
+
+@given(st.lists(st.tuples(st.sampled_from(["p", "q", "true"]), st.lists(_QUERY_ARGS, max_size=3)),
+                max_size=4))
+def test_parsed_query_knows_its_next_variable_id(atoms):
+    text = "?- " + ", ".join(name + (f"({', '.join(args)})" if args else "") for name, args in atoms) + "."
+    query = parse_query(text)
+    assert query.next_var_id == max_var_id(query.goal) + 1
+    assert all(not (a.predicate == "true" and not a.args) for a in query.goal.atoms)
+
+
+def test_parsed_query_repr_and_equality_leave_out_the_next_id():
+    query = parse_query("?- p(X, _).")
+    assert query.next_var_id == 2
+    assert repr(query) == (
+        "Query(goal=Goal(atoms=(Atom(predicate='p', args=(Var(id=0), Var(id=1))),)), var_names={0: 'X'})")
+    assert query == Query(query.goal, {0: "X"})
+
+
+class _CountingPattern:
+    """Wraps the token pattern, recording which scan each call makes."""
+
+    def __init__(self, pattern):
+        self.pattern, self.scans = pattern, []
+
+    def findall(self, text):
+        self.scans.append("findall")
+        return self.pattern.findall(text)
+
+    def finditer(self, text):
+        self.scans.append("finditer")
+        return self.pattern.finditer(text)
+
+
+def test_tokenizer_scans_once_and_finds_offsets_only_for_an_error(monkeypatch):
+    counting = _CountingPattern(parser._TOKEN)
+    monkeypatch.setattr(parser, "_TOKEN", counting)
+    parse_query("?- p(X, [1, f(a)|Y]), X is Y + 2.")
+    parse_program("p(X) :- q(X, [1]).\nq(_, _).")
+    assert counting.scans == ["findall", "findall"]
+    counting.scans.clear()
+    with pytest.raises(ParseError) as err:
+        parse_query("?- p(X, .")
+    assert (err.value.line, err.value.column) == (1, 9)
+    assert counting.scans == ["findall", "finditer"]
+
+
 def test_error_position_inside_long_token():
     source = "p(abc" + "d" * 10 + ").\nq(1) :- 123abc."
     # '123abc' lexes as INT NAME; the malformed atom is reported at the INT
@@ -199,6 +289,10 @@ def test_only_decimal_digits_are_integers():
         parse_program("p(²).")
     assert (err.value.message, err.value.line, err.value.column) == ("unexpected character '²'", 1, 3)
     assert parse_program("p(٣).").clauses[0].head == Atom("p", (Int(3),))
+    # The whole text is tokenized first, so '²' is reported before the syntax error at '.'.
+    with pytest.raises(ParseError) as err:
+        parse_program("p(. ²")
+    assert (err.value.message, err.value.line, err.value.column) == ("unexpected character '²'", 1, 5)
 
 
 def test_oversized_integer_literal_is_a_parse_error():

@@ -6,7 +6,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cologic import Atom, Compound, Int, InternalError, Var, list_term, render_term
+from cologic import (
+    Atom,
+    Compound,
+    Int,
+    InternalError,
+    Program,
+    Var,
+    list_term,
+    parse_query,
+    render_term,
+    solve,
+)
 from cologic.unify import BindStore, extract_answer, unify, unify_atoms
 from helpers import (
     ReferenceBindStore,
@@ -310,6 +321,20 @@ def test_extract_answer_matches_recursive_reference(bindings, query_vars):
     for vid, term in bindings:
         unify(Var(vid), term, store)
     assert repr(extract_answer(query_vars, store)) == repr(reference_extract_answer(query_vars, store))
+
+
+def test_answer_shares_what_it_does_not_change():
+    # A ground subterm comes back as the very object bound; only a compound
+    # with a rebuilt argument is new.
+    query = parse_query("?- L = [" + ", ".join(str(i) for i in range(1, 1501)) + "].")
+    literal = query.goal.atoms[0].args[1]
+    (answer,) = solve(Program(), query)
+    assert answer.equations == [("L", literal)] and answer.equations[0][1] is literal
+    store, ground, inner = BindStore(), Compound("g", (Int(1),)), Compound("h", (Int(2),))
+    assert unify(Var(0), Compound("f", (ground, Var(1))), store) and unify(Var(1), inner, store)
+    (_, term), = extract_answer([("X", 0)], store)[0]
+    assert term == Compound("f", (ground, inner))
+    assert term.args[0] is ground and term.args[1] is inner
 
 
 finite_terms = st.recursive(

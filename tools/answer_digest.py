@@ -23,8 +23,9 @@ this tool.
 A last line, ``parse``, digests the parser alone: the ``repr`` of
 ``parse_program`` for every program text of the three workloads and of
 ``parse_query`` for every query text, then, for 2,000 noise texts drawn
-from the seed, the ``repr`` of each parse or its ``ParseError`` message,
-line and column. A text that fails otherwise (a term too deep for the
+from the seed over ``NOISE_ALPHABET`` (a character of each class the
+tokenizer tells apart by its first character), the ``repr`` of each
+parse or its ``ParseError`` message, line and column. A text that fails otherwise (a term too deep for the
 ``repr``, or for a parser that recurses) records the error type alone.
 ``--workload parse`` prints only this line.
 
@@ -53,7 +54,7 @@ BUDGETS = (40, 20_000)
 MAX_ANSWERS = 12
 WORKLOADS = ("lists", "facts", "corpus")
 ORACLE_WORKLOADS = ("lists", "corpus")
-NOISE_ALPHABET = "ap X01,.()[]|:-=<>%\n\t \\٣é"
+NOISE_ALPHABET = "ap X01,.()[]|:-=<>%\n\t \\٣é²½Ⅻ\x0b\xa0"
 NOISE_TEXTS = 2_000
 
 
