@@ -43,13 +43,13 @@ Both lookups are keyed (path indexing that reads the first argument first,
 as in tabling tries: Ramakrishnan et al. 1999, *Efficient access
 mechanisms for tabled logic programs*). Every hypothesis and every
 revisit-count entry is keyed when it is pushed, with the key
-(:func:`lookup_key`) the step computed for its own lookup, and a lookup
-trial-unifies only the entries whose key fits the goal's, in the order
-of a scan. Keying under the bindings of the push is sound: every goal
-that sees the context runs at or above that choice point's trail mark,
-so its bindings only extend the ones the keys were taken under. Contexts
-stay persistent: a hypothesis tuple or an :class:`LfpCounts` value is
-never changed once built.
+(:func:`cologic.terms.lookup_key`) the step computed for its own
+lookup, and a lookup trial-unifies only the entries whose key fits the
+goal's, in the order of a scan. Keying under the bindings of the push
+is sound: every goal that sees the context runs at or above that choice
+point's trail mark, so its bindings only extend the ones the keys were
+taken under. Contexts stay persistent: a hypothesis tuple or an
+:class:`LfpCounts` value is never changed once built.
 
 A mode is a pair of clause sets: hypothesis steps resolve with the program
 P, bounded proofs with P plus a co-fact set C as facts, where C is the
@@ -59,8 +59,9 @@ no hypothesis step. Each set is a :class:`cologic.terms.ClauseIndex`, which sele
 predicate and arity, then on the first argument the goal has bound,
 keeping every clause whose head has a variable or the same principal
 symbol there; a bound first argument's symbol is read from the step's
-lookup key, so the step walks the goal's arguments once. Every skipped clause would clash in head unification, and
-program order is kept, so answers and their order are those of a scan.
+lookup key, so the step walks the goal's arguments once. Every skipped
+clause would clash in head unification, and program order is kept, so
+answers and their order are those of a scan.
 An index is built on the first query that needs it and kept, which is
 safe because :class:`~cologic.terms.Program` is immutable.
 """
@@ -70,7 +71,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import EvaluationError, InstantiationError, ResourceLimitError
 from .terms import (
@@ -86,6 +87,7 @@ from .terms import (
     Var,
     VarSource,
     fresh_rename,
+    lookup_key,
     max_var_id,
     render_term,
 )
@@ -148,16 +150,9 @@ def eval_arith(t: Term, store: BindStore) -> int:
     Postfix, left operand first, on its own stack, so any depth works. A
     class met again while its value is still open makes the term cyclic.
     """
-    resolve = store.resolve
-    t = resolve(t)
-    if t.__class__ is Int:  # the common cases need no stack
+    t = store.resolve(t)
+    if t.__class__ is Int:  # the common case needs no stack
         return t.value
-    if t.__class__ is Compound and len(t.args) == 2:
-        op = _ARITH.get(t.functor)
-        a, b = resolve(t.args[0]), resolve(t.args[1])
-        if (op is not None and a.__class__ is Int and b.__class__ is Int
-                and (b.value or op is not operator.floordiv)):
-            return op(a.value, b.value)
     values: list[int] = []
     done: dict[int, int | None] = {}  # class -> value of its binding, None while open
     todo: list = [t]
@@ -217,39 +212,6 @@ def eval_builtin(atom: Atom, store: BindStore) -> bool:
     if name == "is":
         return unify(left, Int(eval_arith(right, store)), store)
     return _COMPARE[name](eval_arith(left, store), eval_arith(right, store))
-
-
-# A key holds this many argument symbols after the predicate and arity.
-_KEY_SYMBOLS = 3
-
-
-def lookup_key(atom: Atom, resolve: Callable[[Term], Term]) -> tuple:
-    """The atom's lookup key: predicate, arity, then up to three argument symbols.
-
-    The symbols (``(functor, arity)`` or an integer) are read in preorder
-    over the arguments, first argument first, each dereferenced one level
-    through ``resolve``; the key stops at the first unbound variable. Two
-    atoms can unify only if their keys agree on their common prefix
-    (:func:`keys_fit`): before the first variable in either, both preorders
-    visit the same positions.
-    """
-    args = atom.args
-    key = [atom.predicate, len(args)]
-    todo = [*args[::-1]]
-    room = _KEY_SYMBOLS
-    while todo and room:
-        t = todo.pop()
-        if t.__class__ is Var:
-            t = resolve(t)
-            if t.__class__ is Var:
-                break
-        room -= 1
-        if t.__class__ is Int:
-            key.append(t.value)
-        else:
-            key.append((t.functor, len(t.args)))
-            todo += t.args[::-1]
-    return tuple(key)
 
 
 def keys_fit(a: tuple, b: tuple) -> bool:
@@ -383,13 +345,12 @@ def _run(
             else:
                 key = lookup_key(atom, resolve)
                 hits = hyp_lookup(atom, context, store, key)
-                if not hits:
-                    alternatives = iter(index.candidates(atom, key, resolve))
-                elif hyp_cut:
-                    alternatives = iter(hits)
+                if hits and hyp_cut:
+                    clauses = ()
                 else:
-                    alternatives = chain(hits, index.candidates(atom, key, resolve))
-                choices.append((store.mark(), atom, rest, (atom, key, context), alternatives))
+                    clauses = index.candidates(atom, key, resolve)
+                pushed = (atom, key, context)
+                choices.append((store.mark(), atom, rest, pushed, chain(hits, clauses)))
         # Backtrack to the newest choice point with an alternative that applies.
         while True:
             if not choices:

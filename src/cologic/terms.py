@@ -339,6 +339,39 @@ def _principal(t: Term):
     return None
 
 
+# A key holds this many argument symbols after the predicate and arity.
+_KEY_SYMBOLS = 3
+
+
+def lookup_key(atom: Atom, resolve: Callable[[Term], Term]) -> tuple:
+    """The atom's lookup key: predicate, arity, then up to three argument symbols.
+
+    The principal symbols are read in preorder over the arguments, first
+    argument first, each dereferenced one level through ``resolve``; the
+    key stops at the first unbound variable, so ``key[2]`` is the first
+    argument's symbol when it is bound. Two atoms can unify only if their
+    keys agree on their common prefix (:func:`cologic.engine.keys_fit`):
+    before the first variable in either, both preorders visit the same
+    positions.
+    """
+    args = atom.args
+    key = [atom.predicate, len(args)]
+    todo = [*args[::-1]]
+    room = _KEY_SYMBOLS
+    while todo and room:
+        t = todo.pop()
+        if t.__class__ is Var:
+            t = resolve(t)
+        symbol = _principal(t)
+        if symbol is None:
+            break
+        key.append(symbol)
+        room -= 1
+        if t.__class__ is Compound:
+            todo += t.args[::-1]
+    return tuple(key)
+
+
 class ClauseIndex:
     """Candidate clauses for a goal atom, in the order of a clause sequence.
 
@@ -363,10 +396,9 @@ class ClauseIndex:
     def candidates(self, atom: Atom, key: tuple, resolve: Callable[[Term], Term]) -> Sequence[Clause]:
         """The clauses whose head may unify with ``atom``, in sequence order.
 
-        ``key`` is the atom's :func:`cologic.engine.lookup_key`: past the
-        predicate and arity it starts with the first argument's principal
-        symbol when that argument is bound. Otherwise the later arguments
-        are dereferenced one level through ``resolve`` (see
+        ``key`` is the atom's :func:`lookup_key`, which holds a bound first
+        argument's principal symbol. Otherwise the later arguments are
+        dereferenced one level through ``resolve`` (see
         :meth:`cologic.unify.BindStore.resolve`).
         """
         group = self._groups.get((atom.predicate, len(atom.args)))

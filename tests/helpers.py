@@ -39,9 +39,9 @@ from cologic import (
     solve,
 )
 from cologic import engine
-from cologic.engine import LfpCounts, lookup_key
+from cologic.engine import LfpCounts
 from cologic.errors import CologicError, EvaluationError, InstantiationError, InternalError
-from cologic.terms import CONS, NIL, VarSource, max_var_id
+from cologic.terms import CONS, NIL, VarSource, lookup_key, max_var_id
 from cologic.unify import BindStore, unify
 
 RUNNING_EXAMPLE = """

@@ -30,8 +30,8 @@ from cologic import (
     solve,
 )
 from cologic import engine
-from cologic.engine import LfpCounts, eval_builtin, hyp_lookup, is_builtin, lookup_key
-from cologic.terms import VarSource
+from cologic.engine import LfpCounts, eval_builtin, hyp_lookup, is_builtin
+from cologic.terms import VarSource, lookup_key
 from cologic.unify import BindStore, unify
 from helpers import (
     PQ_EXAMPLE,
@@ -122,8 +122,8 @@ def test_division_by_zero():
         eval_builtin(Atom("is", (Var(0), Compound("//", (Int(1), Int(0))))), store)
 
 
-def test_arithmetic_errors_past_the_two_integer_shortcut():
-    # Two integer operands are applied at once; every other case raises as before.
+def test_arithmetic_error_cases():
+    # Nested operators evaluate; each misuse raises its own error.
     assert ask(Program(), "?- X is max(7, 1) // 2.").equations[0] == ("X", Int(3))
     with pytest.raises(EvaluationError, match="^division by zero$"):
         ask(Program(), "?- X is 7 // 0.")

@@ -11,7 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cologic import Atom, Compound, Int, Var
-from cologic.engine import LfpCounts, hyp_lookup, keys_fit, lookup_key
+from cologic.engine import LfpCounts, hyp_lookup, keys_fit
+from cologic.terms import lookup_key
 from cologic.unify import BindStore, unify, unify_atoms
 
 VARS = [Var(i) for i in range(4)]
