@@ -27,6 +27,28 @@ the goal's context picks the stratum:
   on this branch fails outright, with no backtracking into its
   alternatives.
 
+A bounded goal whose bindings reach no unbound variable (closed) succeeds
+at most once, as under ISO Prolog's ``once/1``: every proof of it binds
+only variables the proof itself created, so a second solution would repeat
+the first answer. Its choice point puts a cut marker after the chosen
+clause's body; reaching the marker deletes that choice point and every one
+above it, and is not a step. A goal gets the marker when its lookup key is
+complete (:func:`cologic.terms.key_is_complete`: the key spells a flat
+closed atom, so the test reads the key the step has anyway) or when it is
+a hypothesis hit's atom, at the root of the hit's bounded proof, and every
+argument is closed. Goals of the hypothesis stratum are never cut: their
+proofs can bind their ancestors' variables through hits.
+
+A hit's proof starts from empty revisit counts, so its outcome, success
+or failure, depends on the atom alone. The outcome for each flat closed
+atom is kept in a per-query table keyed by its complete key (a first
+step towards tabling: Tamaki & Sato 1986, *OLD resolution with
+tabulation*): a later hit on the same atom takes the proof's first step
+and then continues or fails without the rest of the proof. A proof cut
+off by the step budget records nothing. The cut and the table drop only
+duplicate answers and change where a step budget ends; every distinct
+answer keeps its first-occurrence order.
+
 The loop does not recurse per selected goal, so branch depth is not
 limited by Python's recursion limit; the parser, clause renaming
 (:func:`cologic.terms.fresh_rename`) and revisit-count snapshots walk
@@ -87,6 +109,7 @@ from .terms import (
     Var,
     VarSource,
     fresh_rename,
+    key_is_complete,
     lookup_key,
     max_var_id,
     render_term,
@@ -286,7 +309,16 @@ class LfpCounts:
         return LfpCounts(entries[:found] + ((snapshot, entry_key, count + 1),) + entries[found + 1:])
 
 
-# A goal list: None when empty, else ``(atom, context, rest)``.
+# The empty counts every hit's bounded proof starts from. The hit's atom is
+# the only goal that runs under this very object, so it marks that goal: its
+# proof's outcome depends on the atom alone, since it starts from no counts.
+_HIT_COUNTS = LfpCounts()
+
+# A goal list: None when empty, else ``(atom, context, rest)``, or a cut
+# marker ``(key, height, rest)``, told apart by the integer in the context
+# slot: it deletes the choice points from ``height`` up and, unless ``key``
+# is None, records that the hit's proof of the atom with that complete key
+# succeeded.
 _Goals = Optional[tuple]
 # A hypothesis context: None when empty, else ``(atom, key, older)``, most
 # recent first, each hypothesis with the :func:`lookup_key` it was pushed
@@ -316,6 +348,9 @@ def _run(
     stratum and ``bounded_index`` in bounded proofs. Clauses are renamed
     with variables from ``source``. The store holds a solution's bindings
     at each yield; exhausting the search rolls it back to where it started.
+    Closed bounded goals end in a cut marker, and the proofs of flat closed
+    hit atoms consult and fill the query's outcome table (see the module
+    docstring).
     """
     resolve, hyp_cut = store.resolve, config.hyp_cut
     # Without a budget the count starts below zero and never reaches it.
@@ -323,11 +358,20 @@ def _run(
     revisit_limit = config.lfp_revisit_limit
     base = store.mark()
     choices: list[tuple[int, Atom, _Goals, object, Iterator]] = []
+    # complete lookup key of a hit's atom -> whether its bounded proof succeeded
+    proved: dict[tuple, bool] = {}
     while True:
         if goals is None:
             yield
         else:
             atom, context, rest = goals
+            if context.__class__ is int:
+                # A cut marker: the proof above it succeeded, so drop its other solutions.
+                del choices[context:]
+                if atom is not None:
+                    proved[atom] = True
+                goals = rest
+                continue
             if steps_left == 0:
                 raise ResourceLimitError(f"step budget of {config.step_budget} exhausted")
             steps_left -= 1
@@ -337,11 +381,26 @@ def _run(
                     continue
             elif isinstance(context, LfpCounts):
                 key = lookup_key(atom, resolve)
-                counts = context.visited(atom, store, key, source, revisit_limit)
-                # At the revisit limit the atom fails outright, alternatives included.
-                if counts is not None:
-                    clauses = bounded_index.candidates(atom, key, resolve)
-                    choices.append((store.mark(), atom, rest, counts, iter(clauses)))
+                flat = key_is_complete(key)
+                tabled = flat and context is _HIT_COUNTS  # a hit's proof of a flat closed atom
+                if tabled and key in proved:
+                    if proved[key]:
+                        goals = rest
+                        continue
+                else:
+                    counts = context.visited(atom, store, key, source, revisit_limit)
+                    # At the revisit limit the atom fails outright, alternatives included.
+                    if counts is not None:
+                        clauses = iter(bounded_index.candidates(atom, key, resolve))
+                        if tabled:
+                            rest = (key, len(choices), rest)
+                            clauses = chain(clauses, _record_failure(proved, key))
+                        elif flat or (context is _HIT_COUNTS
+                                      and all(map(operator.is_, counts.entries[0][0].args, atom.args))):
+                            # Closed (a hit's snapshot shares exactly its closed arguments):
+                            # every later solution is a duplicate.
+                            rest = (None, len(choices), rest)
+                        choices.append((store.mark(), atom, rest, counts, clauses))
             else:
                 key = lookup_key(atom, resolve)
                 hits = hyp_lookup(atom, context, store, key)
@@ -366,7 +425,7 @@ def _run(
                 # Revisited goal: demand a bounded standard proof in the
                 # co-fact-enriched program, under the hypothesis bindings.
                 if unify_atoms(atom, alternative, store):
-                    goals = (atom, LfpCounts(), rest)
+                    goals = (atom, _HIT_COUNTS, rest)
                     break
             else:
                 renamed = fresh_rename(alternative, source)
@@ -376,6 +435,12 @@ def _run(
                     break
 
 
+def _record_failure(proved: dict[tuple, bool], key: tuple) -> Iterator:
+    """No alternatives; running out of them records that ``key``'s bounded proof failed."""
+    proved[key] = False
+    yield from ()
+
+
 def _snapshot_atom(atom: Atom, store: BindStore, source: VarSource) -> Atom:
     """Copy an atom under its current bindings, with fresh variables from ``source``.
 
@@ -383,7 +448,8 @@ def _snapshot_atom(atom: Atom, store: BindStore, source: VarSource) -> Atom:
     kept as is: its bindings are older than the choice point that will
     hold the snapshot, so any backtrack that undoes them drops the
     snapshot too, and a revisit trial on it stops at once on
-    ``_unify_inplace``'s ``s is t`` test. Other arguments are copied.
+    ``_unify_inplace``'s ``s is t`` test. Other arguments are copied, so
+    :func:`_run` tells a closed hit atom by its snapshot's arguments alone.
     Cyclic bindings are reproduced through the store (the fresh
     variables are bound below any later choice point, so the copy
     survives exactly as long as the counts that hold it). The walk keeps
@@ -396,6 +462,16 @@ def _snapshot_atom(atom: Atom, store: BindStore, source: VarSource) -> Atom:
     mapping: dict[int, Term] = {}
     args = []
     for arg in atom.args:
+        bound = store.resolve(arg) if arg.__class__ is Var else arg
+        if bound.__class__ is Int or (bound.__class__ is Compound and not bound.args):
+            # Closed, reaching at most the class of ``arg`` itself.
+            if bound is not arg:
+                rep = store.find(arg.id)
+                if rep not in mapping:
+                    source.take(1)
+                    mapping[rep] = Var(rep)
+            args.append(arg)
+            continue
         reached = _closed_reach(arg, store, mapping)
         if reached is not None:
             source.take(len(reached))

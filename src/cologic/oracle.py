@@ -54,15 +54,20 @@ class GroundUniverse:
     """The finite set of constants that ground instantiation draws from.
 
     Also holds each clause's ground instances once they are built, so every
-    semantics computed over one universe instantiates a clause only once,
-    and the least model of each clause sequence once it is computed, so
-    the bound of :func:`generated_semantics` reuses an :func:`ind_semantics`
-    already taken. Both depend only on the clauses and the constants, so
-    threads that build them concurrently build equal values.
+    semantics computed over one universe instantiates a clause only once;
+    the union of the instances of each clause sequence, so semantics over
+    the same clauses share one set; and the least model of each clause
+    sequence once it is computed, so the bound of
+    :func:`generated_semantics` reuses an :func:`ind_semantics` already
+    taken. All depend only on the clauses and the constants, so threads
+    that build them concurrently build equal values.
     """
 
     constants: tuple[Term, ...]
     _instances: dict[Clause, frozenset[Clause]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+    _ground: dict[tuple[Clause, ...], frozenset[Clause]] = field(
         default_factory=dict, compare=False, repr=False
     )
     _least: dict[tuple[Clause, ...], frozenset[Atom]] = field(
@@ -122,11 +127,16 @@ def ground_instances(
     that renames the clause (:func:`cologic.terms._maker_of`), built once
     per clause. A ground clause has no runner and no slots: it is its own
     single instance. Instances are built once per clause and universe, and
-    kept on the universe; only clauses not grounded yet are validated.
+    kept on the universe; only clauses not grounded yet are validated. The
+    union is built once per clause sequence and kept there too.
     Raises :class:`UnsupportedProgramError`, before building anything, when
     the given clauses have more than ``MAX_GROUND_INSTANCES`` instances in
     all.
     """
+    key = tuple(clauses)
+    union = universe._ground.get(key)
+    if union is not None:
+        return union
     built = universe._instances
     new = [c for c in dict.fromkeys(clauses) if c not in built]
     _require_datalog(new)
@@ -142,7 +152,8 @@ def ground_instances(
         )
     for c, (k, make, constants) in todo.items():
         built[c] = frozenset([make(combo, constants) for combo in itertools.product(universe.constants, repeat=k)])
-    return frozenset().union(*(built[c] for c in clauses))
+    union = universe._ground[key] = frozenset().union(*(built[c] for c in clauses))
+    return union
 
 
 def op_step(ground_clauses: Iterable[Clause], interp: frozenset[Atom]) -> frozenset[Atom]:

@@ -372,6 +372,20 @@ def lookup_key(atom: Atom, resolve: Callable[[Term], Term]) -> tuple:
     return tuple(key)
 
 
+def key_is_complete(key: tuple) -> bool:
+    """True iff ``key`` holds a symbol for each argument and each is an integer or a constant.
+
+    The key then spells the whole atom: its atom is closed and flat, and
+    two atoms with equal complete keys are equal.
+    """
+    if len(key) != key[1] + 2:
+        return False
+    for symbol in key[2:]:
+        if symbol.__class__ is not int and symbol[1]:  # a functor with arguments
+            return False
+    return True
+
+
 class ClauseIndex:
     """Candidate clauses for a goal atom, in the order of a clause sequence.
 

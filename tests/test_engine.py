@@ -30,6 +30,7 @@ from cologic import (
     solve,
 )
 from cologic import engine
+from cologic.cli import format_answer
 from cologic.engine import LfpCounts, eval_builtin, hyp_lookup, is_builtin
 from cologic.terms import VarSource, lookup_key
 from cologic.unify import BindStore, unify
@@ -533,6 +534,90 @@ def test_step_budget_counts_every_step():
     with pytest.raises(ResourceLimitError) as raised:
         ask(Program(), text, step_budget=2)
     assert str(raised.value) == "step budget of 2 exhausted"
+
+
+# closed goals: the cut and the outcome table
+
+# Corpus seed 11's program: Gen(P, C) = CoInd(P) = {}. Without the cut, each
+# hit's bounded proof over P plus the universal co-facts has many solutions,
+# and the search reruns the rest of the goal list for each.
+SEED_11 = ("p(1) :- p(X0), p(2). p(2) :- p(0), p(X0). p(2) :- p(2), p(0). p(0) :- p(3), p(1)."
+           " cofact(p(3)). cofact(p(0)).")
+
+# p(1)'s hit starts a bounded proof of several steps; a second hit on p(1) is
+# answered by the query's table.
+TWO_HITS = """
+p(X) :- chain(X), p(X).
+chain(X) :- a(X), b(X), c(X).
+a(1). b(1). c(1).
+cofact(p(1)).
+"""
+
+
+def _texts(program, text, mode="cofacts", **cfg) -> list[str]:
+    return [format_answer(a) for a in solve(program, parse_query(text), EngineConfig(mode=mode, **cfg))]
+
+
+def _smallest_budget(program, text) -> tuple[int, list[str]]:
+    """The smallest step budget that runs the whole search, and its answers."""
+    budget = 0
+    while True:
+        try:
+            return budget, _texts(program, text, step_budget=budget)
+        except ResourceLimitError:
+            budget += 1
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3])
+def test_seed_11_program_fails_within_a_small_budget(limit):
+    # Without the cut, limit 2 needs about 500,000 steps and limit 3 more than 1,000,000.
+    program = parse_program(SEED_11)
+    assert _texts(program, "?- p(1).", "coinductive", lfp_revisit_limit=limit, step_budget=1_000) == []
+
+
+def test_closed_hit_proof_succeeds_once():
+    # Without the cut: two answers, one per solution of the bounded proof.
+    assert _texts(parse_program("p(1) :- p(1). cofact(p(1))."), "?- p(1).") == ["true."]
+
+
+def test_closed_cyclic_hit_proof_succeeds_once(running):
+    # Not flat, but closed at its hit: without the cut, four answers.
+    assert _texts(running, "?- L = [1,2|L], all_pos(L).") == ["L = [1, 2|L]"]
+
+
+@pytest.mark.parametrize("text, answers", [
+    ("?- L = [1,2|L], max(L, M).", ["L = [1, 2|L]\nM = 2"] * 3),
+    ("?- L = [3,1,2|L], max(L, M).", ["L = [3, 1, 2|L]\nM = 3"] * 6),
+])
+def test_open_hit_proof_keeps_every_answer(running, text, answers):
+    # M is unbound at max's hit, so its proof is not cut: the answers are the
+    # same derivations as without the cut, duplicates included.
+    assert _texts(running, text) == answers
+
+
+def test_closed_flat_goal_of_an_inductive_query_succeeds_once():
+    assert _texts(parse_program("p(1). p(1)."), "?- p(1).", "inductive") == ["true."]
+
+
+def test_second_hit_on_a_closed_atom_takes_its_outcome_from_the_table():
+    program = parse_program(TWO_HITS)
+    once = _smallest_budget(program, "?- p(1).")
+    twice = _smallest_budget(program, "?- p(1), p(1).")
+    assert once == (17, ["true."])
+    # Without the table and the cut the query needs 51 steps and answers
+    # `true.` four times; the second p(1) now costs less than the first.
+    assert twice == (24, ["true."])
+    assert twice[0] - once[0] < once[0]
+
+
+def test_a_hit_proof_cut_short_by_the_budget_raises():
+    # A proof the budget stops records no outcome: the query raises, and
+    # never reads a failure the proof did not reach.
+    program = parse_program(TWO_HITS)
+    for budget in range(24):  # every budget short of the whole search, some inside a hit proof
+        with pytest.raises(ResourceLimitError):
+            _texts(program, "?- p(1), p(1).", step_budget=budget)
+    assert _texts(program, "?- p(1), p(1).", step_budget=24) == ["true."]
 
 
 def test_instantiation_error_propagates(running):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cologic import Atom, Compound, Int, Var
 from cologic.engine import LfpCounts, hyp_lookup, keys_fit
-from cologic.terms import lookup_key
+from cologic.terms import key_is_complete, lookup_key
 from cologic.unify import BindStore, unify, unify_atoms
 
 VARS = [Var(i) for i in range(4)]
@@ -55,6 +55,29 @@ def test_unifiable_atoms_have_fitting_keys(a, b, before, after):
         assert keys_fit(key_a, key_b)
         assert keys_fit(lookup_key(a, store.resolve), lookup_key(b, store.resolve))
     store.rollback(start)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(atoms, atoms, st.lists(bindings, max_size=4))
+def test_a_complete_key_spells_a_flat_closed_atom(a, b, pairs):
+    store = BindStore()
+    bind_all(pairs, store)
+    key = lookup_key(a, store.resolve)
+    resolved = [store.resolve(t) for t in a.args]
+    flat = all(t.__class__ is Int or (t.__class__ is Compound and not t.args) for t in resolved)
+    assert key_is_complete(key) == flat
+    # Equal complete keys: the atoms are equal, so they unify and bind nothing.
+    if key_is_complete(key) and lookup_key(b, store.resolve) == key:
+        mark = store.mark()
+        assert unify_atoms(a, b, store)
+        assert store.mark() == mark
+
+
+def test_a_key_is_complete_only_up_to_its_symbol_room():
+    # The key holds three argument symbols, so a flat atom of four is not spelt out.
+    assert key_is_complete(lookup_key(Atom("p", ()), BindStore().resolve))
+    assert key_is_complete(lookup_key(Atom("p", (Int(1), Int(2), Compound("a"))), BindStore().resolve))
+    assert not key_is_complete(lookup_key(Atom("p", tuple(map(Int, range(4)))), BindStore().resolve))
 
 
 def _build(run, store: BindStore):

@@ -155,6 +155,26 @@ def test_one_report_runs_the_least_model_once(monkeypatch):
     assert checked >= 2
 
 
+def test_one_report_unites_each_clause_sequence_once(monkeypatch):
+    # CoInd(P) and Gen(P,C) both ground P's clauses: the second call returns
+    # the union the first one built, as does any later call on equal clauses.
+    results: dict[tuple, list] = {}
+    ground = oracle.ground_instances
+
+    def keeping_ground(clauses, universe):
+        got = ground(clauses, universe)
+        results.setdefault(tuple(clauses), []).append(got)  # kept alive, so identity is meaningful
+        return got
+
+    monkeypatch.setattr(oracle, "ground_instances", keeping_ground)
+    for program in [parse_program(PQ_EXAMPLE), *corpus(seed=28, count=20)]:
+        results.clear()
+        oracle_report(program)
+        assert len(results[tuple(program.clauses)]) >= 2  # still called by both semantics
+        for unions in results.values():
+            assert all(union is unions[0] for union in unions)
+
+
 def _instances_by_substitution(clauses, constants) -> frozenset[Clause]:
     """Ground instances by substituting every combination into every clause."""
     out = set()

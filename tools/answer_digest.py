@@ -36,6 +36,21 @@ its clauses have about 4.1 billion ground instances, which a cologic
 without the oracle's size limit tries to build. ``--workload oracle``
 prints only this line.
 
+``--lines`` prints, instead of digests, one JSON line per (case, mode,
+budget) of the ``lists``, ``facts`` and ``corpus`` workloads:
+``[workload, case index, query text, mode, budget, answers, error]``, each
+answer in ``cologic.cli.format_answer`` form (which names variables by
+the query, not by their ids) and the error as its type name or null.
+``--compare OLD NEW`` reads two such outputs of the same seed and cases,
+line by line, and prints per workload the number of sequences and of
+each kind of difference (see :func:`classify`): ``duplicates``,
+``error-to-answers``, ``answers-to-error`` and ``lost``. It exits 1 when
+any sequence is ``lost``::
+
+    python3 tools/answer_digest.py --checkout OLD_CHECKOUT --seed 3 --lines > old.jsonl
+    python3 tools/answer_digest.py --checkout . --seed 3 --lines > new.jsonl
+    python3 tools/answer_digest.py --compare old.jsonl new.jsonl
+
 Uses the standard library only.
 """
 
@@ -44,9 +59,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib
+import json
 import random
 import sys
-from itertools import islice
+from collections import Counter
+from itertools import islice, zip_longest
 from pathlib import Path
 
 MODES = ("cofacts", "inductive", "coinductive")
@@ -56,6 +73,8 @@ WORKLOADS = ("lists", "facts", "corpus")
 ORACLE_WORKLOADS = ("lists", "corpus")
 NOISE_ALPHABET = "ap X01,.()[]|:-=<>%\n\t \\٣é²½Ⅻ\x0b\xa0"
 NOISE_TEXTS = 2_000
+BUDGET_ERROR = "ResourceLimitError"
+KINDS = ("duplicates", "error-to-answers", "answers-to-error", "lost")
 
 
 def load(checkout: Path):
@@ -70,29 +89,43 @@ def load(checkout: Path):
     return cologic, importlib.import_module("workloads")
 
 
-def sequences(cologic, workload_pass, max_cases: int | None = None):
-    """Yield one text line per (query case, mode, budget): its answers, then its error if any."""
-    cli = importlib.import_module("cologic.cli")
+def runs(cologic, workload_pass, max_cases: int | None = None):
+    """Yield ``(case index, case, mode, budget, answers, error)`` per (query case, mode, budget).
+
+    ``answers`` holds up to ``MAX_ANSWERS`` answers; ``error`` is the
+    exception the search raised after them, or None.
+    """
     programs: dict[str, object] = {}
     cases = [c for c in workload_pass.cases if c.op == "query"][:max_cases]
-    for case in cases:
+    for i, case in enumerate(cases):
         if case.program not in programs:
             programs[case.program] = cologic.parse_program(workload_pass.programs[case.program])
         program = programs[case.program]
         for mode in MODES:
             for budget in BUDGETS:
                 config = cologic.EngineConfig(mode=mode, step_budget=budget)
-                parts = [case.text, mode, str(budget)]
+                answers, error = [], None
                 try:
                     query = cologic.parse_query(case.text)
-                    for answer in islice(cologic.solve(program, query, config), MAX_ANSWERS):
-                        try:
-                            parts.append(f"{answer.equations!r} {answer.names!r}")
-                        except RecursionError:
-                            parts.append(f"repr-too-deep {cli.format_answer(answer)}")
+                    answers.extend(islice(cologic.solve(program, query, config), MAX_ANSWERS))
                 except Exception as e:  # an error, whatever its type, is part of the behaviour
-                    parts.append(f"error {type(e).__name__}: {e}")
-                yield "\t".join(parts)
+                    error = e
+                yield i, case, mode, budget, answers, error
+
+
+def sequences(cologic, workload_pass, max_cases: int | None = None):
+    """Yield one text line per (query case, mode, budget): its answers, then its error if any."""
+    cli = importlib.import_module("cologic.cli")
+    for _, case, mode, budget, answers, error in runs(cologic, workload_pass, max_cases):
+        parts = [case.text, mode, str(budget)]
+        for answer in answers:
+            try:
+                parts.append(f"{answer.equations!r} {answer.names!r}")
+            except RecursionError:
+                parts.append(f"repr-too-deep {cli.format_answer(answer)}")
+        if error is not None:
+            parts.append(f"error {type(error).__name__}: {error}")
+        yield "\t".join(parts)
 
 
 def digest(checkout: Path, workload: str, seed: int, max_cases: int | None = None) -> tuple[int, str]:
@@ -104,6 +137,65 @@ def digest(checkout: Path, workload: str, seed: int, max_cases: int | None = Non
         h.update(line.encode("utf-8") + b"\n")
         n += 1
     return n, h.hexdigest()
+
+
+def answer_lines(checkout: Path, workload: str, seed: int, max_cases: int | None = None):
+    """Yield one JSON line per (query case, mode, budget) of one workload (see ``--lines``)."""
+    cologic, workloads = load(checkout)
+    cli = importlib.import_module("cologic.cli")
+    workload_pass = workloads.WORKLOADS[workload](seed, checkout)
+    for i, case, mode, budget, answers, error in runs(cologic, workload_pass, max_cases):
+        yield json.dumps([workload, i, case.text, mode, budget, [cli.format_answer(a) for a in answers],
+                          None if error is None else type(error).__name__], ensure_ascii=False)
+
+
+def _distinct(answers: list[str]) -> list[str]:
+    return list(dict.fromkeys(answers))
+
+
+def classify(old: tuple[list[str], str | None], new: tuple[list[str], str | None]) -> str | None:
+    """The kind of difference between two sequences, each ``(answers, error type or None)``.
+
+    None when they are equal. ``duplicates``: the same ending, and the new
+    side keeps every distinct answer of the old one in order, with fewer
+    duplicates (and, where the old side filled the answer cap or ran out of
+    budget, possibly more distinct answers after them). ``error-to-answers``:
+    the old side ran out of budget, the new one ends without an error.
+    ``answers-to-error``: the old side filled the cap, the new one runs out
+    of budget. ``lost``: anything else, such as a distinct answer lost,
+    reordered or added, or another change of error.
+    """
+    if old == new:
+        return None
+    (old_answers, old_error), (new_answers, new_error) = old, new
+    kept, found = _distinct(old_answers), _distinct(new_answers)
+    capped = len(old_answers) == MAX_ANSWERS
+    if found[:len(kept)] != kept or (len(found) > len(kept) and not capped and old_error is None):
+        return "lost"
+    if old_error == new_error:
+        return "duplicates"
+    if old_error == BUDGET_ERROR and new_error is None:
+        return "error-to-answers"
+    if old_error is None and capped and new_error == BUDGET_ERROR:
+        return "answers-to-error"
+    return "lost"
+
+
+def compare(old_lines, new_lines) -> dict[str, Counter]:
+    """Per workload, the number of sequences and of each kind of difference (see :func:`classify`)."""
+    kinds: dict[str, Counter] = {}
+    for number, (a, b) in enumerate(zip_longest(old_lines, new_lines), 1):
+        if a is None or b is None:
+            raise ValueError(f"line {number}: one output has more sequences than the other")
+        a, b = json.loads(a), json.loads(b)
+        if a[:5] != b[:5]:
+            raise ValueError(f"line {number}: the outputs hold different sequences: {a[:5]} and {b[:5]}")
+        counts = kinds.setdefault(a[0], Counter())
+        counts["sequences"] += 1
+        kind = classify((a[5], a[6]), (b[5], b[6]))
+        if kind is not None:
+            counts[kind] += 1
+    return kinds
 
 
 def parsed(cologic, parse, text: str) -> str:
@@ -155,13 +247,32 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parents[1],
                         help="repository root whose src/ and perfbench/ to use (default: this one)")
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=int)
     parser.add_argument("--workload", choices=(*WORKLOADS, "parse", "oracle"), action="append",
                         help="workload to digest, parse or oracle; repeatable (default: all five)")
     parser.add_argument("--cases", type=int, default=None,
                         help="digest only the first N query cases of each workload")
+    parser.add_argument("--lines", action="store_true",
+                        help="print one JSON line per answer sequence instead of digests")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("OLD", "NEW"),
+                        help="sort the differences between two --lines outputs by kind")
     args = parser.parse_args(argv)
+    if args.compare:
+        old, new = (path.read_text(encoding="utf-8").splitlines() for path in args.compare)
+        kinds = compare(old, new)
+        for workload, counts in kinds.items():
+            print(workload, "\t".join(f"{kind} {counts[kind]}" for kind in ("sequences", *KINDS)), sep="\t")
+        return 1 if any(counts["lost"] for counts in kinds.values()) else 0
+    if args.seed is None:
+        parser.error("--seed is required unless --compare is given")
     checkout = args.checkout.resolve()
+    if args.lines:
+        for workload in args.workload or WORKLOADS:
+            if workload not in WORKLOADS:
+                parser.error(f"--lines prints answer sequences; {workload} has none")
+            for line in answer_lines(checkout, workload, args.seed, args.cases):
+                print(line)
+        return 0
     for workload in args.workload or (*WORKLOADS, "parse", "oracle"):
         if workload == "parse":
             n, hexdigest = parse_digest(checkout, args.seed)
