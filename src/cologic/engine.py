@@ -47,7 +47,9 @@ tabulation*): a later hit on the same atom takes the proof's first step
 and then continues or fails without the rest of the proof. A proof cut
 off by the step budget records nothing. The cut and the table drop only
 duplicate answers and change where a step budget ends; every distinct
-answer keeps its first-occurrence order.
+answer keeps its first-occurrence order. So does the handling of twins: a
+flat closed goal takes only the first hit on a hypothesis equal to it, and
+its clause bodies see the goal in place of every such hypothesis.
 
 The loop does not recurse per selected goal, so branch depth is not
 limited by Python's recursion limit; the parser, clause renaming
@@ -81,9 +83,15 @@ no hypothesis step. Each set is a :class:`cologic.terms.ClauseIndex`, which sele
 predicate and arity, then on the first argument the goal has bound,
 keeping every clause whose head has a variable or the same principal
 symbol there; a bound first argument's symbol is read from the step's
-lookup key, so the step walks the goal's arguments once. Every skipped
-clause would clash in head unification, and program order is kept, so
-answers and their order are those of a scan.
+lookup key, so the step walks the goal's arguments once. When the key
+holds two argument symbols or more, the choice point keeps it, and each
+candidate's head is checked against it just before renaming
+(:func:`cologic.terms.key_excludes`, multi-argument indexing on demand:
+Santos Costa, Sagonas & Lopes 2007, *Demand-driven indexing of Prolog
+clauses*). A clause it rules out is not renamed, but takes the ids its
+renaming would have taken, so every later id stays the same. Every
+skipped clause would clash in head unification, and program order is
+kept, so answers and their order are those of a scan.
 An index is built on the first query that needs it and kept, which is
 safe because :class:`~cologic.terms.Program` is immutable.
 """
@@ -109,6 +117,7 @@ from .terms import (
     Var,
     VarSource,
     fresh_rename,
+    key_excludes,
     key_is_complete,
     lookup_key,
     max_var_id,
@@ -174,8 +183,15 @@ def eval_arith(t: Term, store: BindStore) -> int:
     class met again while its value is still open makes the term cyclic.
     """
     t = store.resolve(t)
-    if t.__class__ is Int:  # the common case needs no stack
+    if t.__class__ is Int:  # the common cases need no stack
         return t.value
+    if t.__class__ is Compound and len(t.args) == 2:
+        a, b = map(store.resolve, t.args)
+        op = _ARITH.get(t.functor)
+        if op is not None and a.__class__ is Int and b.__class__ is Int:
+            if op is operator.floordiv and b.value == 0:
+                raise EvaluationError("division by zero")
+            return op(a.value, b.value)
     values: list[int] = []
     done: dict[int, int | None] = {}  # class -> value of its binding, None while open
     todo: list = [t]
@@ -346,7 +362,8 @@ def _run(
     of the clause bodies it will push, and its untried alternatives:
     hypothesis hits (atoms) and clauses, from ``index`` in the hypothesis
     stratum and ``bounded_index`` in bounded proofs. Clauses are renamed
-    with variables from ``source``. The store holds a solution's bindings
+    with variables from ``source``, unless the key the choice point keeps
+    rules their head out. The store holds a solution's bindings
     at each yield; exhausting the search rolls it back to where it started.
     Closed bounded goals end in a cut marker, and the proofs of flat closed
     hit atoms consult and fill the query's outcome table (see the module
@@ -357,7 +374,8 @@ def _run(
     steps_left = -1 if config.step_budget is None else config.step_budget
     revisit_limit = config.lfp_revisit_limit
     base = store.mark()
-    choices: list[tuple[int, Atom, _Goals, object, Iterator]] = []
+    # (trail mark, atom, rest, body context, alternatives, key for key_excludes or None)
+    choices: list[tuple[int, Atom, _Goals, object, Iterator, tuple | None]] = []
     # complete lookup key of a hit's atom -> whether its bounded proof succeeded
     proved: dict[tuple, bool] = {}
     while True:
@@ -381,6 +399,7 @@ def _run(
                     continue
             elif isinstance(context, LfpCounts):
                 key = lookup_key(atom, resolve)
+                probe = key if len(key) > 3 else None
                 flat = key_is_complete(key)
                 tabled = flat and context is _HIT_COUNTS  # a hit's proof of a flat closed atom
                 if tabled and key in proved:
@@ -400,22 +419,26 @@ def _run(
                             # Closed (a hit's snapshot shares exactly its closed arguments):
                             # every later solution is a duplicate.
                             rest = (None, len(choices), rest)
-                        choices.append((store.mark(), atom, rest, counts, clauses))
+                        choices.append((store.mark(), atom, rest, counts, clauses, probe))
             else:
                 key = lookup_key(atom, resolve)
                 hits = hyp_lookup(atom, context, store, key)
+                older = context
+                if (len(hits) > 1 or (hits and not hyp_cut)) and key_is_complete(key):
+                    hits, older = _drop_twins(hits, key, context, resolve)
                 if hits and hyp_cut:
                     clauses = ()
                 else:
                     clauses = index.candidates(atom, key, resolve)
-                pushed = (atom, key, context)
-                choices.append((store.mark(), atom, rest, pushed, chain(hits, clauses)))
+                pushed = (atom, key, older)
+                probe = key if len(key) > 3 else None
+                choices.append((store.mark(), atom, rest, pushed, chain(hits, clauses), probe))
         # Backtrack to the newest choice point with an alternative that applies.
         while True:
             if not choices:
                 store.rollback(base)
                 return
-            mark, atom, rest, body_context, alternatives = choices[-1]
+            mark, atom, rest, body_context, alternatives, probe = choices[-1]
             alternative = next(alternatives, None)
             if alternative is None:
                 choices.pop()
@@ -427,12 +450,43 @@ def _run(
                 if unify_atoms(atom, alternative, store):
                     goals = (atom, _HIT_COUNTS, rest)
                     break
-            else:
+            elif probe is None or not key_excludes(probe, alternative, source):
                 renamed = fresh_rename(alternative, source)
                 if unify_atoms(atom, renamed.head, store):
                     # Siblings keep their own context; only the body sees this one.
                     goals = _goal_list(renamed.body, body_context, rest)
                     break
+
+
+def _drop_twins(hits: list[Atom], key: tuple, context: _Hyps, resolve) -> tuple[list[Atom], _Hyps]:
+    """``hits`` with only the first of its twins, and ``context`` with none of them.
+
+    A twin is a hypothesis whose key, under the current bindings, is the
+    goal's complete ``key``: the goal's own flat closed atom. It binds
+    nothing, so a later twin's hit would only replay the first one's
+    proof. The goal, once pushed, stands for every twin, so the context
+    its clause bodies see drops them; a later hit on the goal comes before
+    theirs and makes the same bindings.
+    """
+    kept, twins = [], []
+    for h in hits:
+        if lookup_key(h, resolve) == key:
+            twins.append(h)
+            if len(twins) > 1:
+                continue
+        kept.append(h)
+    # hyp_lookup gives one hit per entry: drop that many entries holding a twin.
+    left, ids, entries = len(twins), set(map(id, twins)), []
+    while left:
+        entry = context
+        context = entry[2]
+        if id(entry[0]) in ids:
+            left -= 1
+        else:
+            entries.append(entry)
+    for h, k, _ in reversed(entries):
+        context = (h, k, context)
+    return kept, context
 
 
 def _record_failure(proved: dict[tuple, bool], key: tuple) -> Iterator:

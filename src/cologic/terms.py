@@ -6,12 +6,15 @@ inside a ``Term`` value; it is represented by bindings in a
 after construction and safe to share across threads. The exceptions are
 filled in on first use: a program's co-fact-extended clauses, clause
 indexes, variable range and universal-co-fact program, and a clause's
-runner. Each depends only on its owner, so threads that build one
-concurrently build equal ones. A clause compiles in one walk into one
-postfix program; a short program becomes a maker, generated code compiled
-once per clause shape into a cache shared by every program, and a long one
-is run as it is. Two threads that build the same maker source concurrently
-store equal functions, and either one serves.
+runner and head pattern. Each depends only on its owner, so threads that
+build one concurrently build equal ones. A clause compiles in one walk
+into one postfix program; a short program becomes a maker, generated code
+compiled once per clause shape into a cache shared by every program, and
+a long one is run as it is. Two threads that build the same maker source
+concurrently store equal functions, and either one serves. Renamings take
+their variables from one table of ``Var(i)`` shared by every query; a
+thread that grows it publishes a whole new table, so entry i is ``Var(i)``
+in every table.
 
 Lists are sugar: ``[]`` is the constant ``Compound("[]")`` and ``[H|T]`` is
 ``Compound(".", (H, T))``. The parser desugars and the renderer resugars.
@@ -231,9 +234,11 @@ class Clause(_Record):
 
     ``_template`` holds the clause's runner (see :func:`_maker_of`); it is
     left unset until the clause's first renaming or grounding.
+    ``_pattern`` holds its head pattern (see :func:`key_excludes`), left
+    unset until the clause is first tried against a key.
     """
 
-    __slots__ = ("head", "body", "_hash", "_template")
+    __slots__ = ("head", "body", "_hash", "_template", "_pattern")
     _fields = ("head", "body")
     head: Atom
     body: tuple[Atom, ...]
@@ -267,6 +272,7 @@ _set_head = Clause.head.__set__
 _set_body = Clause.body.__set__
 _set_clause_hash = Clause._hash.__set__
 _set_template = Clause._template.__set__
+_set_pattern = Clause._pattern.__set__
 
 
 @dataclass(frozen=True)
@@ -372,6 +378,72 @@ def lookup_key(atom: Atom, resolve: Callable[[Term], Term]) -> tuple:
     return tuple(key)
 
 
+def key_excludes(key: tuple, clause: Clause, source: VarSource) -> bool:
+    """True iff ``key`` rules out ``clause``'s head; the ids its renaming would take are then taken.
+
+    ``key`` is a goal's :func:`lookup_key` with at least two argument
+    symbols. The clause's head pattern holds its arguments' first nodes
+    in preorder, as many as a key has symbols: a node's principal symbol,
+    or the variable itself. The walk reads the pattern and the key in
+    step. A symbol must equal the key's. A variable takes one whole goal
+    subterm, whose extent the key's arities give, and a variable met twice
+    must meet equal principal symbols. When the key runs out, the clause
+    is allowed. A ruled-out clause would clash in head unification; it
+    takes its ids from ``source`` as :func:`fresh_rename` would, so later
+    ids stay the same.
+    """
+    try:
+        nodes = clause._pattern
+    except AttributeError:
+        nodes = _head_pattern(clause)
+        _set_pattern(clause, nodes)
+    if nodes is None:
+        return False
+    seen: dict[int, object] = {}
+    i, end = 2, len(key)
+    for node in nodes:
+        if i == end:
+            return False
+        symbol = key[i]
+        i += 1
+        if node.__class__ is Var:
+            if seen.setdefault(node.id, symbol) != symbol:
+                break
+            need = symbol[1] if symbol.__class__ is tuple else 0
+            while need:  # skip the rest of the subterm the variable takes
+                if i == end:
+                    return False
+                symbol = key[i]
+                i += 1
+                need += symbol[1] - 1 if symbol.__class__ is tuple else -1
+        elif node != symbol:
+            break
+    else:
+        return False
+    template = _maker_of(clause)
+    source.take(0 if template is None else template[0])
+    return True
+
+
+def _head_pattern(clause: Clause) -> tuple | None:
+    """The head pattern of :func:`key_excludes`, or None when a key can exclude nothing new.
+
+    The clause index has matched the first node already, so a pattern
+    with no symbol after it and no repeated variable is None.
+    """
+    nodes: list = []
+    todo = [*clause.head.args[::-1]]
+    while todo and len(nodes) < _KEY_SYMBOLS:
+        t = todo.pop()
+        nodes.append(t if t.__class__ is Var else _principal(t))
+        if t.__class__ is Compound:
+            todo += t.args[::-1]
+    ids = [node.id for node in nodes if node.__class__ is Var]
+    if len(set(ids)) == len(ids) and all(node.__class__ is Var for node in nodes[1:]):
+        return None
+    return tuple(nodes)
+
+
 def key_is_complete(key: tuple) -> bool:
     """True iff ``key`` holds a symbol for each argument and each is an integer or a constant.
 
@@ -465,6 +537,33 @@ class Query:
     next_var_id: int | None = field(default=None, repr=False, compare=False)
 
 
+# Var(i) at index i, shared by every query: renaming and VarSource.fresh
+# take their variables from here, so after the first query reaches an id
+# no renaming builds its variable again (equality is by id, so an entry
+# and a constructed Var(i) are interchangeable). The table grows by
+# doubling, to at most twice the largest id used, and stops at
+# _VAR_TABLE_LIMIT ids; larger ids are built per use. At the limit it
+# holds 16,384 entries of about 76 bytes (a 40-byte Var, its 28-byte id
+# and a tuple slot): about 1.2 MB.
+_VAR_TABLE_LIMIT = 1 << 14
+_var_table: tuple[Var, ...] = ()
+
+
+def _fresh_vars(first: int, n: int) -> tuple[Var, ...]:
+    """``(Var(first), ..., Var(first + n - 1))``, from the shared table where it reaches."""
+    global _var_table
+    table = _var_table
+    end = first + n
+    if end > len(table):
+        if end > _VAR_TABLE_LIMIT:
+            return tuple(map(Var, range(first, end)))
+        # Built whole and published in one assignment: a thread growing it
+        # at the same time publishes a table whose entry i is Var(i) too.
+        size = min(max(end, 2 * len(table), 64), _VAR_TABLE_LIMIT)
+        table = _var_table = table + tuple(map(Var, range(len(table), size)))
+    return table[first:end]
+
+
 class VarSource:
     """Supplies fresh variables; identifiers never repeat within one source."""
 
@@ -472,9 +571,9 @@ class VarSource:
         self._next = start
 
     def fresh(self) -> Var:
-        v = Var(self._next)
-        self._next += 1
-        return v
+        first = self._next
+        self._next = first + 1
+        return _fresh_vars(first, 1)[0]
 
     def take(self, n: int) -> int:
         """Reserve the next ``n`` identifiers in one step; returns the first."""
@@ -496,14 +595,14 @@ def fresh_rename(clause: Clause, source: VarSource) -> Clause:
     head and then the body, gets the k-th fresh identifier. Ground
     subterms and ground atoms are shared with ``clause``, and a ground
     clause is returned itself. The clause's runner (see :func:`_maker_of`)
-    builds the copy from the fresh variables in one call.
+    builds the copy in one call from the fresh variables, which come from
+    the table all queries share.
     """
     template = _maker_of(clause)
     if template is None:
         return clause
     n, make, constants = template
-    first = source.take(n)
-    return make(list(map(Var, range(first, first + n))), constants)
+    return make(_fresh_vars(source.take(n), n), constants)
 
 
 def _maker_of(clause: Clause) -> tuple | None:

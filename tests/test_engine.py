@@ -177,7 +177,17 @@ def _evaluated(evaluate, term, store):
         return type(exc).__name__, str(exc)
 
 
-@given(arith_terms, st.lists(st.tuples(st.integers(0, 3), arith_terms), max_size=4))
+# A binary operator over integers or variables, the form of `M2 is max(N, M)`:
+# eval_arith evaluates it without its stack when both operands resolve to integers.
+flat_arith_terms = st.builds(
+    lambda functor, a, b: Compound(functor, (a, b)),
+    st.sampled_from(["+", "-", "*", "//", "max", "min", "f"]),
+    st.integers(-2, 3).map(Int) | st.integers(0, 3).map(Var),
+    st.integers(-2, 3).map(Int) | st.integers(0, 3).map(Var),
+)
+
+
+@given(arith_terms | flat_arith_terms, st.lists(st.tuples(st.integers(0, 3), arith_terms), max_size=4))
 def test_eval_arith_matches_recursive_reference(term, bindings):
     # Bindings whose term holds their own variable make cyclic sums.
     store = BindStore()
@@ -267,6 +277,56 @@ def test_lookup_trials_do_not_grow_with_depth(running, monkeypatch, goal, mode):
         assert lookups >= n
         per_lookup.append(trials / lookups)
     assert per_lookup[1] <= per_lookup[0] < 1
+
+
+def _head_unifications(monkeypatch, program, text: str, mode: str = "cofacts") -> tuple[int, int]:
+    """(renamings, failed head unifications) of a whole search."""
+    counts = {"renamed": 0, "failed": 0}
+    rename, unify_atoms = engine.fresh_rename, engine.unify_atoms
+    heads = []
+
+    def renamed(clause, source):
+        counts["renamed"] += 1
+        copy = rename(clause, source)
+        heads.append(copy.head)
+        return copy
+
+    def unified(a, b, store):
+        ok = unify_atoms(a, b, store)
+        counts["failed"] += not ok and bool(heads) and b is heads[-1]
+        return ok
+
+    monkeypatch.setattr(engine, "fresh_rename", renamed)
+    monkeypatch.setattr(engine, "unify_atoms", unified)
+    list(solve(program, parse_query(text), EngineConfig(mode=mode)))
+    monkeypatch.undo()
+    return counts["renamed"], counts["failed"]
+
+
+@pytest.mark.parametrize("mode", ["cofacts", "inductive"])
+@pytest.mark.parametrize("goal", ["max({items}, M)", "member(0, {items})"])
+def test_heads_the_key_rules_out_are_not_renamed(running, monkeypatch, goal, mode):
+    # Without the key check, `max([N], N)` fails its head on every cell but
+    # the last and `member(X, [X|_])` on every cell: about one failed head per
+    # element. The key holds the cell's element and the next cell's symbol,
+    # so both clauses are skipped before renaming.
+    items = "[" + ", ".join(str(i) for i in range(1, 21)) + "]"
+    renamed, failed = _head_unifications(monkeypatch, running, f"?- {goal.format(items=items)}.", mode)
+    assert renamed >= 20
+    assert failed == 0
+
+
+def test_a_ruled_out_clause_takes_its_renaming_ids(monkeypatch):
+    # The first clause clashes on its second argument, so only the second is
+    # renamed; it still gets the ids it got when the first was renamed too.
+    program = parse_program("p(A, 1, B).  p(A, 2, [A|D]).")
+    renamed = []
+    rename = engine.fresh_rename
+    monkeypatch.setattr(engine, "fresh_rename", lambda c, source: renamed.append(c) or rename(c, source))
+    answers = [repr(a) for a in solve(program, parse_query("?- p(3, 2, L)."))]
+    assert renamed == [program.clauses[1]]
+    assert answers == ["Answer(equations=[('L', Compound(functor='.', args=(Int(value=3), Var(id=7))))],"
+                       " names={0: 'L', 7: '_G1'})"]
 
 
 # bounded SLD stratum
@@ -618,6 +678,30 @@ def test_a_hit_proof_cut_short_by_the_budget_raises():
         with pytest.raises(ResourceLimitError):
             _texts(program, "?- p(1), p(1).", step_budget=budget)
     assert _texts(program, "?- p(1), p(1).", step_budget=24) == ["true."]
+
+
+def test_a_flat_closed_goal_takes_one_hit_per_atom(monkeypatch):
+    # Without hyp_cut every r on the branch is a hypothesis. Taking one hit
+    # per identical hypothesis, the search made 149 lookups with 5,550 hits
+    # and answered `true.` 2,773 times before the budget ran out. Now a goal
+    # takes one hit per atom, and its clause bodies see one hypothesis per
+    # atom: one hit per lookup.
+    hits = []  # per lookup
+    lookup = engine.hyp_lookup
+
+    def counted(*args):
+        found = lookup(*args)
+        hits.append(len(found))
+        return found
+
+    monkeypatch.setattr(engine, "hyp_lookup", counted)
+    program = parse_program("r :- r, r.  cofact(r).")
+    answers = []
+    with pytest.raises(ResourceLimitError):
+        for answer in solve(program, parse_query("?- r."), EngineConfig(hyp_cut=False, step_budget=3_000)):
+            answers.append(format_answer(answer))
+    assert (len(hits), sum(hits), max(hits)) == (1_499, 1_498, 1)
+    assert (len(answers), set(answers)) == (748, {"true."})
 
 
 def test_instantiation_error_propagates(running):

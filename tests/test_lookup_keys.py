@@ -1,4 +1,4 @@
-"""Keyed hypothesis and revisit-count lookup: the key filter never drops a unifier.
+"""Keyed hypothesis and revisit-count lookup, and the clause check on keys: the key never drops a unifier.
 
 Atoms are drawn from integers, ``'.'/2``, ``f/1``, ``[]`` and a few shared
 variables, and bindings (cyclic ones included, since unification is
@@ -10,9 +10,9 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cologic import Atom, Compound, Int, Var
+from cologic import Atom, Clause, Compound, Int, Var
 from cologic.engine import LfpCounts, hyp_lookup, keys_fit
-from cologic.terms import key_is_complete, lookup_key
+from cologic.terms import VarSource, fresh_rename, key_excludes, key_is_complete, lookup_key
 from cologic.unify import BindStore, unify, unify_atoms
 
 VARS = [Var(i) for i in range(4)]
@@ -33,6 +33,25 @@ atoms = st.builds(
 bindings = st.tuples(st.sampled_from(VARS), terms)
 # A context is built by pushing atoms, each followed by at most one binding.
 pushes = st.lists(st.tuples(atoms, st.lists(bindings, max_size=1)), max_size=16)
+
+# Clause heads and the goals tried against them: nested lists, integers,
+# constants and few variables, so that a head variable often occurs twice
+# and a goal's key often holds several symbols.
+HEAD_VARS = [Var(i) for i in range(10, 13)]
+
+
+def _tree(leaves):
+    return st.recursive(leaves, lambda sub: st.one_of(
+        sub.map(lambda t: Compound("f", (t,))),
+        st.tuples(sub, sub).map(lambda pair: Compound(".", pair)),
+    ), max_leaves=5)
+
+
+CONSTANTS = st.one_of(st.integers(0, 2).map(Int), st.sampled_from([Compound("[]"), Compound("a")]))
+head_terms = _tree(st.one_of(CONSTANTS, st.sampled_from(HEAD_VARS)))
+goal_terms = _tree(st.one_of(CONSTANTS, st.sampled_from(VARS)))
+head_args = st.lists(head_terms, min_size=1, max_size=3)
+
 
 
 def bind_all(pairs, store: BindStore) -> None:
@@ -136,3 +155,49 @@ def test_keyed_lookups_match_a_full_scan(run, data):
     first = _scan(goal, pushed, store)
     assert counts.lookup(goal, store, key) == (first[0] if first else None)
     assert store.mark() == mark
+
+
+def _instance(head_arg, draw, chosen: dict | None):
+    """``head_arg`` with each variable replaced by a drawn goal term: one per variable kept in ``chosen``, or one per occurrence."""
+    if head_arg.__class__ is Var:
+        if chosen is None:
+            return draw(goal_terms)
+        if head_arg.id not in chosen:
+            chosen[head_arg.id] = draw(goal_terms)
+        return chosen[head_arg.id]
+    if head_arg.__class__ is Compound and head_arg.args:
+        return Compound(head_arg.functor, tuple(_instance(a, draw, chosen) for a in head_arg.args))
+    return head_arg
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(head_args, st.data(), st.lists(bindings, max_size=4), st.booleans())
+def test_a_clause_the_key_excludes_fails_head_unification(head_args, data, pairs, with_body):
+    # The goal is random, or an instance of the head: with one term per
+    # variable, or one per occurrence, so that a repeated variable may meet
+    # different terms.
+    shape = data.draw(st.sampled_from(["random", "instance", "occurrences"]))
+    if shape == "random":
+        goal_args = [data.draw(goal_terms) for _ in head_args]
+    else:
+        chosen = {} if shape == "instance" else None
+        goal_args = [_instance(a, data.draw, chosen) for a in head_args]
+    store = BindStore()
+    bind_all(pairs, store)
+    goal = Atom("p", tuple(goal_args))
+    body = (Atom("q", (Var(13), HEAD_VARS[0])),) if with_body else ()
+    clause = Clause(Atom("p", tuple(head_args)), body)
+    key = lookup_key(goal, store.resolve)
+    if len(key) < 4:  # the engine checks only keys with two argument symbols or more
+        return
+    checked, renamed = VarSource(100), VarSource(100)
+    excluded = key_excludes(key, clause, checked)
+    head = fresh_rename(clause, renamed).head
+    if excluded:
+        # It takes the ids the renaming takes, and the renamed head clashes.
+        assert checked.next_id == renamed.next_id
+        mark = store.mark()
+        assert not unify_atoms(goal, head, store)
+        assert store.mark() == mark
+    else:
+        assert checked.next_id == 100

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
@@ -186,6 +187,47 @@ def test_fresh_rename_disjoint_across_uses():
         got = term_vars(fresh_rename(clause, source))
         assert not (got & seen)
         seen |= got
+
+
+def test_renamings_take_their_variables_from_one_shared_table():
+    clause = parse_program("p(X, Y) :- q(Y).").clauses[0]
+    first, second = fresh_rename(clause, VarSource(40)), fresh_rename(clause, VarSource(40))
+    assert first.head.args == (Var(40), Var(41))
+    assert all(a is b for a, b in zip(first.head.args, second.head.args))
+    assert VarSource(7).fresh() is VarSource(7).fresh() == Var(7)
+    # Ids at or above the table's limit are built per use, equal by id.
+    limit = term_module._VAR_TABLE_LIMIT
+    assert fresh_rename(clause, VarSource(limit - 1)).head.args == (Var(limit - 1), Var(limit))
+    assert len(term_module._var_table) <= limit
+
+
+def test_threads_growing_the_variable_table_keep_entry_i_at_id_i(monkeypatch):
+    # Threads that grow the shared table at once each publish a whole
+    # table; whichever wins, every entry i is Var(i).
+    monkeypatch.setattr(term_module, "_var_table", ())
+    clause = parse_program("p(X, Y, Z) :- q(Z).").clauses[0]
+    wrong = []
+
+    def rename_upwards(offset: int) -> None:
+        for first in range(offset, term_module._VAR_TABLE_LIMIT, 97):
+            ids = [v.id for v in fresh_rename(clause, VarSource(first)).head.args]
+            if ids != [first, first + 1, first + 2]:
+                wrong.append((first, ids))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=rename_upwards, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    table = term_module._var_table
+    assert len(table) > 64 and all(v.id == i for i, v in enumerate(table))
 
 
 def test_term_vars_examples():
