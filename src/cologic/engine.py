@@ -61,7 +61,12 @@ terms with their own stacks too, and so do answer extraction
 Nothing is copied that later search cannot change. Renaming shares a
 clause's ground subterms, and a revisit-count snapshot shares each goal
 argument whose bindings reach no unbound variable, so a revisit trial on
-a cyclic list meets the very same node and stops at once.
+a cyclic list meets the very same node and stops at once. The snapshot
+learns that an argument is closed by crossing variables, not term nodes:
+each compound keeps the record of the variables written in it
+(:func:`cologic.terms.var_record`), so a closed list or cycle costs the
+classes it reaches, however long it is, and a bounded step over it does
+not walk it.
 
 Both lookups are keyed (path indexing that reads the first argument first,
 as in tabling tries: Ramakrishnan et al. 1999, *Efficient access
@@ -122,6 +127,7 @@ from .terms import (
     lookup_key,
     max_var_id,
     render_term,
+    var_record,
 )
 from .unify import BindStore, extract_answer, unify, unify_atoms
 
@@ -279,7 +285,6 @@ def hyp_lookup(atom: Atom, hyps: _Hyps, store: BindStore, key: tuple) -> list[At
     return out
 
 
-@dataclass(frozen=True)
 class LfpCounts:
     """Per-branch visit counts for the bounded SLD stratum.
 
@@ -288,10 +293,13 @@ class LfpCounts:
     later search cannot disturb it; see :func:`_snapshot_atom`)
     and the :func:`lookup_key` it was inserted with. Lookup is trial
     unification against the first entry whose key fits the goal's, rolled
-    back.
+    back. A value is never changed once built: a step builds a new one.
     """
 
-    entries: tuple[tuple[Atom, tuple, int], ...] = ()
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[Atom, tuple, int], ...] = ()) -> None:
+        self.entries = entries
 
     def lookup(self, atom: Atom, store: BindStore, key: tuple) -> int | None:
         """Index of the first entry unifiable with ``atom``, whose key is ``key``, or None."""
@@ -498,19 +506,20 @@ def _record_failure(proved: dict[tuple, bool], key: tuple) -> Iterator:
 def _snapshot_atom(atom: Atom, store: BindStore, source: VarSource) -> Atom:
     """Copy an atom under its current bindings, with fresh variables from ``source``.
 
-    An argument whose bindings reach no unbound variable (closed) is
-    kept as is: its bindings are older than the choice point that will
-    hold the snapshot, so any backtrack that undoes them drops the
-    snapshot too, and a revisit trial on it stops at once on
+    An argument whose bindings reach no unbound variable (closed; see
+    :func:`_closed_reach`) is kept as is: its bindings are older than the
+    choice point that will hold the snapshot, so any backtrack that undoes
+    them drops the snapshot too, and a revisit trial on it stops at once on
     ``_unify_inplace``'s ``s is t`` test. Other arguments are copied, so
     :func:`_run` tells a closed hit atom by its snapshot's arguments alone.
     Cyclic bindings are reproduced through the store (the fresh
     variables are bound below any later choice point, so the copy
     survives exactly as long as the counts that hold it). The walk keeps
     its own stack: fresh variables are taken in preorder, and each is
-    bound once its binding's skeleton has been copied. Every class
-    reached, in a closed argument too, takes one fresh variable, so the
-    identifiers taken later do not depend on what is shared.
+    bound once its binding's skeleton has been copied; a compound with no
+    variable is kept, not copied. Every class reached, in a closed
+    argument too, takes one fresh variable, so the identifiers taken
+    later do not depend on what is shared.
     """
     # class representative -> its copy, or the original variable when closed
     mapping: dict[int, Term] = {}
@@ -557,7 +566,7 @@ def _copy(term: Term, mapping: dict[int, Term], store: BindStore, source: VarSou
                     done.append(fresh)
                 else:
                     todo += (("bind", fresh), ("copy", resolved))
-            elif isinstance(x, Compound) and x.args:
+            elif isinstance(x, Compound) and var_record(x):
                 todo.append(("build", x))
                 todo.extend(("copy", a) for a in reversed(x.args))
             else:
@@ -574,16 +583,22 @@ def _copy(term: Term, mapping: dict[int, Term], store: BindStore, source: VarSou
 
 
 def _closed_reach(term: Term, store: BindStore, mapping: dict[int, Term]) -> list[int] | None:
-    """The classes ``term`` reaches that ``mapping`` lacks, in preorder; None if it reaches an unbound one.
+    """The classes ``term`` reaches that ``mapping`` lacks; None if it reaches an unbound one.
 
-    Walks the term and the bindings of the classes it meets, each class
-    once, and stops at the first unbound class.
+    Crosses variables, not term nodes: a compound stands for its variable
+    record (:func:`cologic.terms.var_record`), and a bound class for the
+    record of its binding. Each class is met once, and the walk stops at
+    the first unbound one. A closed list or cycle thus costs the classes
+    it reaches, however many cells it has.
     """
     reached: list[int] = []
     seen: set[int] = set()
     todo = [term]
     while todo:
         t = todo.pop()
+        if t.__class__ is tuple:
+            todo += t
+            continue
         if t.__class__ is Var:
             rep = store.find(t.id)
             if rep in seen:
@@ -595,7 +610,7 @@ def _closed_reach(term: Term, store: BindStore, mapping: dict[int, Term]) -> lis
             if rep not in mapping:
                 reached.append(rep)
         if t.__class__ is Compound:
-            todo.extend(reversed(t.args))
+            todo += var_record(t)
     return reached
 
 

@@ -5,9 +5,11 @@ inside a ``Term`` value; it is represented by bindings in a
 :class:`cologic.unify.BindStore`. Everything in this module is immutable
 after construction and safe to share across threads. The exceptions are
 filled in on first use: a program's co-fact-extended clauses, clause
-indexes, variable range and universal-co-fact program, and a clause's
-runner and head pattern. Each depends only on its owner, so threads that
-build one concurrently build equal ones. A clause compiles in one walk
+indexes, variable range and universal-co-fact program, a clause's runner
+and head pattern, and a compound's variable record (:func:`var_record`),
+which lets a walk cross from variable to variable instead of node to
+node. Each depends only on its owner, so threads that build one
+concurrently build equal ones. A clause compiles in one walk
 into one postfix program; a short program becomes a maker, generated code
 compiled once per clause shape into a cache shared by every program, and
 a long one is run as it is. Two threads that build the same maker source
@@ -26,9 +28,10 @@ through their member descriptors. They behave as frozen dataclasses:
 assignment raises :class:`dataclasses.FrozenInstanceError`, equality holds
 within one class only, the ``repr`` is the dataclass one, and the hash is
 that of the field tuple. ``Compound``, ``Atom`` and ``Clause`` keep their
-hash in a slot once computed. ``Compound`` equality and the first hash of
-a compound keep their own stacks, and so does :func:`render_term` (and with
-it ``str``), so any nesting depth works; only ``repr`` still recurses.
+hash in a slot once computed. ``Compound`` equality, the first hash of a
+compound and the first variable record keep their own stacks, and so
+does :func:`render_term` (and with it ``str``), so any nesting depth
+works; only ``repr`` still recurses.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 import operator
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence
 
 from .errors import CologicError
 
@@ -127,10 +130,12 @@ class Compound(_Record):
 
     Equality and the first hash walk the term with their own stacks, so
     neither is limited by term depth. The hash is ``hash((functor, args))``
-    and is kept in a slot once computed.
+    and is kept in a slot once computed. ``_vars`` holds the compound's
+    variable record (see :func:`var_record`); it is left unset until a
+    walk first asks for it.
     """
 
-    __slots__ = ("functor", "args", "_hash")
+    __slots__ = ("functor", "args", "_hash", "_vars")
     _fields = ("functor", "args")
     functor: str
     args: tuple[Term, ...]
@@ -167,13 +172,14 @@ class Compound(_Record):
         return render_term(self)
 
 
-Term = Union[Var, Int, Compound]
+Term = Var | Int | Compound
 
 _set_var_id = Var.id.__set__
 _set_int_value = Int.value.__set__
 _set_functor = Compound.functor.__set__
 _set_compound_args = Compound.args.__set__
 _set_compound_hash = Compound._hash.__set__
+_set_compound_vars = Compound._vars.__set__
 
 
 def _fill_hashes(root: Compound) -> int:
@@ -191,6 +197,53 @@ def _fill_hashes(root: Compound) -> int:
             # Every compound argument now has its hash, so this does not recurse.
             _set_compound_hash(t, hash((t.functor, t.args)))
     return root._hash
+
+
+def var_record(t: Compound) -> tuple:
+    """The variable record of ``t``, filled on first use (see :func:`_fill_vars`)."""
+    try:
+        return t._vars
+    except AttributeError:
+        return _fill_vars(t)
+
+
+def _fill_vars(root: Compound) -> tuple:
+    """The variable record of ``root``, kept on it and on every compound below it lacking one.
+
+    The record holds the variables that occur in the compound as written,
+    whatever they are bound to, so no binding or backtrack changes it. It
+    is ``()`` for a ground compound; the record of its one argument that
+    holds variables, when there is just one and it is a compound, so the
+    cells of a list's spine share one object; and otherwise a tuple of
+    its variable arguments and its compound arguments' nonempty records,
+    in argument order. Records are filled bottom-up on one stack, each
+    compound's from its arguments' records, so a list ``[X1, ..., Xn]``
+    takes memory linear in n.
+    """
+    todo = [root]
+    while todo:
+        t = todo[-1]
+        parts: list = []
+        missing = False
+        for a in t.args:
+            if a.__class__ is Var:
+                parts.append(a)
+            elif a.__class__ is Compound and a.args:
+                try:
+                    record = a._vars
+                except AttributeError:
+                    todo.append(a)
+                    missing = True
+                    continue
+                if record:
+                    parts.append(record)
+        if not missing:
+            todo.pop()
+            if len(parts) == 1 and parts[0].__class__ is tuple:
+                _set_compound_vars(t, parts[0])
+            else:
+                _set_compound_vars(t, tuple(parts))
+    return root._vars
 
 
 class Atom(_Record):

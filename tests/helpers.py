@@ -10,8 +10,11 @@ walks the package runs on explicit stacks, `reference_candidates` the
 clause scan that the index's tables replaced, `reference_tokenize` the
 tokenizer with one regex group per token class and an offset per token,
 and `ReferenceBindStore` with `reference_unify`/`reference_unify_atoms`
-the two-table store and unifier that the one-table store replaced, kept
-as differential oracles.
+the two-table store and unifier that the one-table store replaced,
+`reference_closed_reach` the closedness walk over term nodes that the
+walk over variable records replaced, and `reference_snapshot_atom` a
+revisit-count snapshot by plain recursion, all kept as differential
+oracles.
 `run_goals` runs the engine's search loop from a chosen store and
 context, which `solve` never starts from.
 """
@@ -357,6 +360,69 @@ def reference_unify_atoms(a: Atom, b: Atom, store: ReferenceBindStore) -> bool:
         return True
     store.rollback(start)
     return False
+
+
+def reference_closed_reach(term: Term, store: BindStore, mapping: dict[int, Term]) -> list[int] | None:
+    """Walk term nodes: the reference for :func:`cologic.engine._closed_reach`.
+
+    The classes ``term`` reaches that ``mapping`` lacks, in preorder, or
+    None if it reaches an unbound one. Walks the term and the bindings of
+    the classes it meets, each class once.
+    """
+    reached: list[int] = []
+    seen: set[int] = set()
+    todo = [term]
+    while todo:
+        t = todo.pop()
+        if t.__class__ is Var:
+            rep = store.find(t.id)
+            if rep in seen:
+                continue
+            seen.add(rep)
+            t = store.resolve(t)
+            if t.__class__ is Var:
+                return None
+            if rep not in mapping:
+                reached.append(rep)
+        if t.__class__ is Compound:
+            todo.extend(reversed(t.args))
+    return reached
+
+
+def reference_snapshot_atom(atom: Atom, store: BindStore, source: VarSource) -> Atom:
+    """Snapshot by plain recursion: the reference for :func:`cologic.engine._snapshot_atom`.
+
+    A closed argument is kept and takes one fresh id per class it reaches
+    that no earlier argument reached. Any other argument is copied node by
+    node: each class gets a fresh variable at its first occurrence, in
+    preorder, bound to the copy of its binding.
+    """
+    mapping: dict[int, Term] = {}
+
+    def copy(t: Term) -> Term:
+        if isinstance(t, Var):
+            rep = store.find(t.id)
+            if rep in mapping:
+                return mapping[rep]
+            fresh = mapping[rep] = source.fresh()
+            bound = store.resolve(t)
+            if not isinstance(bound, Var):
+                assert unify(fresh, copy(bound), store)
+            return fresh
+        if isinstance(t, Compound) and t.args:
+            return Compound(t.functor, tuple(copy(a) for a in t.args))
+        return t
+
+    args = []
+    for arg in atom.args:
+        reached = reference_closed_reach(arg, store, mapping)
+        if reached is None:
+            args.append(copy(arg))
+        else:
+            source.take(len(reached))
+            mapping.update((rep, Var(rep)) for rep in reached)
+            args.append(arg)
+    return Atom(atom.predicate, tuple(args))
 
 
 _REFERENCE_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,

@@ -29,7 +29,7 @@ from cologic import (
     render_term,
     solve,
 )
-from cologic import engine
+from cologic import engine, terms
 from cologic.cli import format_answer
 from cologic.engine import LfpCounts, eval_builtin, hyp_lookup, is_builtin
 from cologic.terms import VarSource, lookup_key
@@ -44,7 +44,9 @@ from helpers import (
     is_unbound,
     rational_equal,
     reference_candidates,
+    reference_closed_reach,
     reference_eval_arith,
+    reference_snapshot_atom,
     run_goals,
     succeeds,
     unfold,
@@ -485,6 +487,148 @@ def test_snapshot_is_a_variant_that_later_bindings_leave_alone(args, bindings):
         if is_unbound(store, vid):
             assert unify(Var(vid), Compound("bound"), store)
     assert unfold(copy, store, 12) == before
+
+
+@st.composite
+def bound_goals(draw):
+    """``(goal, bindings)``: a goal over a pool of terms, and bindings to make with ``unify``.
+
+    Pool members are shared between arguments, bindings and one another;
+    one member is nested up to 150 deep. A binding whose term holds its
+    own variable makes a cycle, one to a variable aliases two classes,
+    and a variable left unbound keeps its class open.
+    """
+    pool = draw(st.lists(snapshot_terms, min_size=1, max_size=4))
+
+    def pick():
+        return pool[draw(st.integers(0, len(pool) - 1))]
+
+    for _ in range(draw(st.integers(0, 3))):
+        pool.append(Compound("h", (pick(), pick())))
+    deep = pick()
+    for _ in range(draw(st.sampled_from([0, 1, 30, 150]))):
+        deep = Compound("s", (deep,))
+    pool.append(deep)
+    bindings = [(draw(st.integers(0, 5)), pick()) for _ in range(draw(st.integers(0, 6)))]
+    args = tuple(pick() for _ in range(draw(st.integers(1, 4))))
+    return Atom("p", args), bindings
+
+
+def _bound_store(bindings) -> BindStore:
+    store = BindStore()
+    for vid, term in bindings:
+        unify(Var(vid), term, store)  # a clash leaves the store as it was
+    return store
+
+
+@settings(max_examples=300)
+@given(bound_goals())
+def test_closed_reach_matches_the_node_walk(drawn):
+    goal, bindings = drawn
+    store = _bound_store(bindings)
+    mapping: dict = {}
+    for arg in goal.args:
+        reached = engine._closed_reach(arg, store, mapping)
+        expected = reference_closed_reach(arg, store, mapping)
+        assert (reached is None) == (expected is None)
+        if reached is not None:
+            assert len(reached) == len(set(reached)) and set(reached) == set(expected)
+            mapping.update((rep, Var(rep)) for rep in reached)
+
+
+@settings(max_examples=300)
+@given(bound_goals())
+def test_snapshot_matches_the_reference(drawn):
+    goal, bindings = drawn
+    store, reference_store = _bound_store(bindings), _bound_store(bindings)
+    source, reference_source = VarSource(100), VarSource(100)
+    snapshot = engine._snapshot_atom(goal, store, source)
+    assert snapshot == reference_snapshot_atom(goal, reference_store, reference_source)
+    assert source.next_id == reference_source.next_id
+    for vid in range(100, source.next_id):  # each fresh variable bound alike
+        assert store.resolve(Var(vid)) == reference_store.resolve(Var(vid))
+
+
+class _ClassCounter:
+    """A store seen through a walk: records each class representative it finds."""
+
+    def __init__(self, store: BindStore):
+        self.store, self.classes = store, set()
+
+    def find(self, vid: int) -> int:
+        rep = self.store.find(vid)
+        self.classes.add(rep)
+        return rep
+
+    def resolve(self, t):
+        return self.store.resolve(t)
+
+
+def _closedness_work(monkeypatch, program, text: str, mode: str) -> dict[str, int]:
+    """Bounded steps, and the closedness work of a first answer: classes visited, records read and filled.
+
+    Every compound whose record gets filled is filled by one call, once
+    per query.
+    """
+    counts = {"steps": 0, "classes": 0, "records": 0, "filled": 0}
+    filled: list = []  # kept alive, so ids stay distinct
+    visited, closed_reach, var_record, fill_vars = (
+        LfpCounts.visited, engine._closed_reach, engine.var_record, terms._fill_vars)
+
+    def counted_visit(self, *args):
+        counts["steps"] += 1
+        return visited(self, *args)
+
+    def counted_reach(term, store, mapping):
+        seen = _ClassCounter(store)
+        try:
+            return closed_reach(term, seen, mapping)
+        finally:
+            counts["classes"] += len(seen.classes)
+
+    def counted_record(t):
+        counts["records"] += 1
+        return var_record(t)
+
+    def counted_fill(root):
+        todo, new = [root], {}
+        while todo:  # the compounds below root still lacking a record
+            t = todo.pop()
+            if id(t) not in new and not hasattr(t, "_vars"):
+                new[id(t)] = t
+                todo += [a for a in t.args if a.__class__ is Compound]
+        assert not set(new) & {id(t) for t in filled}
+        filled.extend(new.values())
+        return fill_vars(root)
+
+    monkeypatch.setattr(LfpCounts, "visited", counted_visit)
+    monkeypatch.setattr(engine, "_closed_reach", counted_reach)
+    monkeypatch.setattr(engine, "var_record", counted_record)
+    monkeypatch.setattr(terms, "_fill_vars", counted_fill)
+    assert next(iter(solve(program, parse_query(text), EngineConfig(mode=mode))), None) is not None
+    monkeypatch.undo()
+    counts["filled"] = len(filled)
+    return counts
+
+
+@pytest.mark.parametrize("mode, goal, sizes", [
+    ("cofacts", "L = [{items}|L], all_pos(L)", (100, 1000)),
+    ("inductive", "all_pos([{items}])", (500, 2000)),
+])
+def test_closedness_work_per_bounded_step_does_not_grow(running, monkeypatch, mode, goal, sizes):
+    # A walk over term nodes would cross the rest of the list, or a whole
+    # period, on every bounded step; the walk over variable records
+    # crosses the classes the goal reaches, and each compound's record is
+    # filled once.
+    per_step = []
+    for n in sizes:
+        items = ", ".join(str(i) for i in range(1, n + 1))
+        counts = _closedness_work(monkeypatch, running, f"?- {goal.format(items=items)}.", mode)
+        assert counts["steps"] >= n
+        per_step.append({k: counts[k] / counts["steps"] for k in ("classes", "records", "filled")})
+    small, large = per_step
+    for k in small:
+        assert large[k] <= 1.05 * small[k] and large[k] <= 2, (k, per_step)
 
 
 # hypothesis stratum

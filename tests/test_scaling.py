@@ -19,7 +19,9 @@ def test_scaling_runs_every_case_at_tiny_sizes():
     rows = result["rows"]
     assert [(row["case"], row["size"]) for row in rows] == [
         (case, n) for n in (5, 12) for case in ("all_pos/finite", "max/finite", "member_miss/finite")
-    ] + [(case, p) for p in (2, 3) for case in ("max/cycle", "all_pos/cycle")]
+    ] + [(case, p) for p in (2, 3) for case in ("max/cycle", "all_pos/cycle")] + [
+        (case, p) for p in (2, 3) for case in ("max/repeat_cycle", "all_pos/repeat_cycle", "member_miss/repeat_cycle")
+    ]
     assert all(row["ok"] and row["cpu_s"] >= 0 and row["mode"] == "cofacts" for row in rows)
 
 
@@ -29,7 +31,8 @@ def test_scaling_runs_every_case_in_each_mode():
     run = subprocess.run(argv, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     rows = json.loads(run.stdout.strip().splitlines()[-1])["rows"]
-    cases = ["all_pos/finite", "max/finite", "member_miss/finite", "max/cycle", "all_pos/cycle"]
+    cases = ["all_pos/finite", "max/finite", "member_miss/finite", "max/cycle", "all_pos/cycle",
+             "max/repeat_cycle", "all_pos/repeat_cycle", "member_miss/repeat_cycle"]
     assert [(row["mode"], row["case"]) for row in rows] == [
         (mode, case) for mode in ("cofacts", "inductive", "coinductive") for case in cases
     ]

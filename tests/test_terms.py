@@ -501,3 +501,87 @@ def test_deep_terms_compare_and_hash():
     other = parse_query(text.replace("a", "b")).goal.atoms[0]
     assert one != other
     assert len({one, two, other}) == 2
+
+
+def _flatten(record: tuple) -> list:
+    """The variables of a variable record, nested tuples opened in order."""
+    out, todo = [], [record]
+    while todo:
+        x = todo.pop()
+        if x.__class__ is tuple:
+            todo += reversed(x)
+        else:
+            out.append(x)
+    return out
+
+
+def _preorder_vars(t: Term) -> list[Var]:
+    out, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        if t.__class__ is Var:
+            out.append(t)
+        elif t.__class__ is Compound:
+            todo += reversed(t.args)
+    return out
+
+
+@given(terms | terms.map(lambda t: Compound("k", (t, t))))
+def test_var_record_holds_the_variables_as_written(term):
+    wrapped = Compound("w", (term, Int(0), term))
+    record = term_module.var_record(wrapped)
+    assert _flatten(record) == _preorder_vars(wrapped)
+    assert record == () or not (len(record) == 1 and record[0].__class__ is tuple)
+    assert term_module.var_record(wrapped) is record  # kept, not filled again
+
+
+def test_var_records_of_a_spine_are_one_object():
+    # [1, ..., 5|L]: only the tail holds a variable, so every cell shares
+    # one record; a ground list has the empty record throughout.
+    cycle = list_term([Int(i) for i in range(1, 6)], tail=Var(0))
+    cells = [cycle]
+    while cells[-1].__class__ is Compound:
+        cells.append(cells[-1].args[1])
+    records = [term_module.var_record(c) for c in cells[:-1]]
+    assert records[0] == (Var(0),) and all(r is records[0] for r in records)
+    assert term_module.var_record(list_term([Int(1), Compound("a")])) == ()
+
+
+def test_var_records_stay_linear_at_any_depth():
+    # Deeper than the recursion limit. [X1, ..., Xn] takes one pair per cell,
+    # and a 10,000-deep f(...f(X)...) shares one record throughout.
+    n = 10_000
+    assert sys.getrecursionlimit() < n
+    variables = [Var(i) for i in range(n)]
+    wide = list_term(variables)
+    record = term_module.var_record(wide)
+    assert _flatten(record) == variables
+    pairs, x = 0, record
+    while x:
+        assert len(x) == 2 or x == (variables[-1],)
+        pairs, x = pairs + 1, x[-1] if len(x) == 2 else ()
+    assert pairs == n
+    deep = Var(0)
+    for _ in range(n):
+        deep = Compound("f", (deep,))
+    assert term_module.var_record(deep) == (Var(0),)
+    assert term_module.var_record(deep.args[0]) is term_module.var_record(deep)
+
+
+def test_reimporting_keeps_one_copy_of_the_term_classes():
+    # A module-level typing.Union over the term classes would be cached by
+    # typing and keep every imported copy of terms.py alive.
+    code = (
+        "import gc, importlib, sys\n"
+        "for _ in range(5):\n"
+        "    for name in [m for m in sys.modules if m.split('.')[0] == 'cologic']:\n"
+        "        del sys.modules[name]\n"
+        "    importlib.import_module('cologic.cli')\n"
+        "gc.collect()\n"
+        "print(sum(1 for o in gc.get_objects() if isinstance(o, type)"
+        " and o.__module__ == 'cologic.terms' and o.__name__ == 'Var'))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(Path(term_module.__file__).parents[1])})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "1"

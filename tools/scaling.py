@@ -11,15 +11,21 @@ It imports cologic from ``<checkout>/src``, parses
 * ``all_pos``, ``max`` and ``member`` (a miss) over the finite list
   ``[1, ..., n]``, for n in ``--finite`` (default 1,000, 2,000, 5,000);
 * ``max`` and ``all_pos`` over the cycle ``L = [1, ..., p|L]``, for p in
-  ``--periods`` (default 50, 100, 200, 300).
+  ``--periods`` (default 50, 100, 200, 300);
+* ``max``, ``all_pos`` and ``member`` (a miss) over the cycle
+  ``L = [e_1, ..., e_p|L]`` whose elements repeat, ``e_i = i % 7 + 1``,
+  for the same periods. A lookup's trial unification walks such a cycle
+  up to a whole period before two rotations disagree, so these cases
+  cost about cubic time in the period.
 
 Every case runs in each engine mode named by ``--modes`` (default
 ``cofacts``; ``--modes cofacts,inductive`` compares the bounded stratum).
 Each case runs three times and reports its median; parsing the query is
 not timed. Every answer is checked: ``all_pos`` holds, ``member(0, ...)``
-fails, and ``max`` answers ``M = n`` (or ``M = p``); in ``inductive``
-mode both cycle cases answer ``false.``, as a cycle has no finite
-derivation. It prints one JSON line: the checkout, the Python version and
+fails, and ``max`` answers ``M = n`` (or ``M = p``, or the largest
+repeated element); in ``inductive`` mode every cycle case answers
+``false.``, as a cycle has no finite derivation, and in ``coinductive``
+mode ``member(0, ...)`` holds on a cycle, as its derivation is infinite. It prints one JSON line: the checkout, the Python version and
 one row per mode and case with its ``cpu_s`` and whether its answer was
 right. The exit status is 1 when an answer was wrong or the search raised.
 
@@ -66,6 +72,12 @@ def cases(finite, periods, mode="cofacts"):
         cycle = "L = [" + ", ".join(str(i) for i in range(1, p + 1)) + "|L]"
         yield "max/cycle", p, f"?- {cycle}, max(L, M).", {"M": p} if cycles_hold else None
         yield "all_pos/cycle", p, f"?- {cycle}, all_pos(L).", {} if cycles_hold else None
+    for p in periods:
+        elements = [i % 7 + 1 for i in range(1, p + 1)]
+        cycle = "L = [" + ", ".join(map(str, elements)) + "|L]"
+        yield "max/repeat_cycle", p, f"?- {cycle}, max(L, M).", {"M": max(elements)} if cycles_hold else None
+        yield "all_pos/repeat_cycle", p, f"?- {cycle}, all_pos(L).", {} if cycles_hold else None
+        yield "member_miss/repeat_cycle", p, f"?- {cycle}, member(0, L).", {} if mode == "coinductive" else None
 
 
 def correct(cologic, answer, expected) -> bool:
