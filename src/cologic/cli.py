@@ -184,8 +184,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--mode",
         choices=MODES,
-        default="cofacts",
-        help="semantics to resolve under (default: cofacts)",
+        default=EngineConfig.mode,
+        help=f"semantics to resolve under (default: {EngineConfig.mode})",
     )
     parser.add_argument(
         "--all", action="store_true", help="enumerate every answer instead of the first"
@@ -193,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--revisit-limit",
         type=int,
-        default=2,
+        default=EngineConfig.lfp_revisit_limit,
         metavar="N",
         help="times an atom class may be reprocessed in the bounded SLD stratum",
     )

@@ -44,12 +44,17 @@ or failure, depends on the atom alone. The outcome for each flat closed
 atom is kept in a per-query table keyed by its complete key (a first
 step towards tabling: Tamaki & Sato 1986, *OLD resolution with
 tabulation*): a later hit on the same atom takes the proof's first step
-and then continues or fails without the rest of the proof. A proof cut
-off by the step budget records nothing. The cut and the table drop only
-duplicate answers and change where a step budget ends; every distinct
-answer keeps its first-occurrence order. So does the handling of twins: a
-flat closed goal takes only the first hit on a hypothesis equal to it, and
-its clause bodies see the goal in place of every such hypothesis.
+and then continues or fails without the rest of the proof. The proof
+records a failure when it starts, which its cut marker overwrites with a
+success; in between only bounded goals run, and they take no hits. A
+budget stop raises out of :func:`_run` with the table unread. With
+``hyp_cut`` no two hypotheses on a branch unify: a goal with hits is never
+pushed, and one without unifies with none on its branch, nor under later
+bindings. Without it, a flat closed goal takes only the first hit on a
+hypothesis equal to it (a twin), and its clause bodies see the goal in
+place of every twin. The cut, the table and the twins drop only duplicate
+answers and change where a step budget ends; every distinct answer keeps
+its first-occurrence order.
 
 The loop does not recurse per selected goal, so branch depth is not
 limited by Python's recursion limit; the parser, clause renaming
@@ -384,7 +389,8 @@ def _run(
     base = store.mark()
     # (trail mark, atom, rest, body context, alternatives, key for key_excludes or None)
     choices: list[tuple[int, Atom, _Goals, object, Iterator, tuple | None]] = []
-    # complete lookup key of a hit's atom -> whether its bounded proof succeeded
+    # complete lookup key of a hit's atom -> whether its bounded proof succeeded;
+    # False from the proof's first step until its cut marker
     proved: dict[tuple, bool] = {}
     while True:
         if goals is None:
@@ -405,42 +411,39 @@ def _run(
                 if eval_builtin(atom, store):
                     goals = rest
                     continue
-            elif isinstance(context, LfpCounts):
-                key = lookup_key(atom, resolve)
-                probe = key if len(key) > 3 else None
-                flat = key_is_complete(key)
-                tabled = flat and context is _HIT_COUNTS  # a hit's proof of a flat closed atom
-                if tabled and key in proved:
-                    if proved[key]:
-                        goals = rest
-                        continue
-                else:
-                    counts = context.visited(atom, store, key, source, revisit_limit)
-                    # At the revisit limit the atom fails outright, alternatives included.
-                    if counts is not None:
-                        clauses = iter(bounded_index.candidates(atom, key, resolve))
-                        if tabled:
-                            rest = (key, len(choices), rest)
-                            clauses = chain(clauses, _record_failure(proved, key))
-                        elif flat or (context is _HIT_COUNTS
-                                      and all(map(operator.is_, counts.entries[0][0].args, atom.args))):
-                            # Closed (a hit's snapshot shares exactly its closed arguments):
-                            # every later solution is a duplicate.
-                            rest = (None, len(choices), rest)
-                        choices.append((store.mark(), atom, rest, counts, clauses, probe))
             else:
                 key = lookup_key(atom, resolve)
-                hits = hyp_lookup(atom, context, store, key)
-                older = context
-                if (len(hits) > 1 or (hits and not hyp_cut)) and key_is_complete(key):
-                    hits, older = _drop_twins(hits, key, context, resolve)
-                if hits and hyp_cut:
-                    clauses = ()
-                else:
-                    clauses = index.candidates(atom, key, resolve)
-                pushed = (atom, key, older)
                 probe = key if len(key) > 3 else None
-                choices.append((store.mark(), atom, rest, pushed, chain(hits, clauses), probe))
+                if isinstance(context, LfpCounts):
+                    flat = key_is_complete(key)
+                    tabled = flat and context is _HIT_COUNTS  # a hit's proof of a flat closed atom
+                    if tabled and key in proved:
+                        if proved[key]:
+                            goals = rest
+                            continue
+                    else:
+                        if tabled:
+                            proved[key] = False
+                        counts = context.visited(atom, store, key, source, revisit_limit)
+                        # At the revisit limit the atom fails outright, alternatives included.
+                        if counts is not None:
+                            if flat or (context is _HIT_COUNTS
+                                        and all(map(operator.is_, counts.entries[0][0].args, atom.args))):
+                                # Closed (a hit's snapshot shares exactly its closed arguments):
+                                # every later solution is a duplicate.
+                                rest = (key if tabled else None, len(choices), rest)
+                            clauses = iter(bounded_index.candidates(atom, key, resolve))
+                            choices.append((store.mark(), atom, rest, counts, clauses, probe))
+                else:
+                    hits = hyp_lookup(atom, context, store, key)
+                    if hits and hyp_cut:
+                        choices.append((store.mark(), atom, rest, None, iter(hits), None))
+                    else:
+                        older = context
+                        if hits and key_is_complete(key):
+                            hits, older = _drop_twins(hits, key, context, resolve)
+                        clauses = chain(hits, index.candidates(atom, key, resolve))
+                        choices.append((store.mark(), atom, rest, (atom, key, older), clauses, probe))
         # Backtrack to the newest choice point with an alternative that applies.
         while True:
             if not choices:
@@ -474,7 +477,8 @@ def _drop_twins(hits: list[Atom], key: tuple, context: _Hyps, resolve) -> tuple[
     nothing, so a later twin's hit would only replay the first one's
     proof. The goal, once pushed, stands for every twin, so the context
     its clause bodies see drops them; a later hit on the goal comes before
-    theirs and makes the same bindings.
+    theirs and makes the same bindings. Runs only without ``hyp_cut``:
+    with it a goal has at most one twin (see the module docstring).
     """
     kept, twins = [], []
     for h in hits:
@@ -495,12 +499,6 @@ def _drop_twins(hits: list[Atom], key: tuple, context: _Hyps, resolve) -> tuple[
     for h, k, _ in reversed(entries):
         context = (h, k, context)
     return kept, context
-
-
-def _record_failure(proved: dict[tuple, bool], key: tuple) -> Iterator:
-    """No alternatives; running out of them records that ``key``'s bounded proof failed."""
-    proved[key] = False
-    yield from ()
 
 
 def _snapshot_atom(atom: Atom, store: BindStore, source: VarSource) -> Atom:

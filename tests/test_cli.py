@@ -193,6 +193,18 @@ def _run_repl(monkeypatch, capsys, lines, argv):
     return code, capsys.readouterr()
 
 
+def test_flag_defaults_are_the_engine_defaults(monkeypatch):
+    handed = []
+
+    def capture(path, queries, config, *rest):
+        handed.append(config)
+        return 0
+
+    monkeypatch.setattr(cologic.cli, "run_file", capture)
+    assert main(["--query", "?- true."]) == 0
+    assert handed == [EngineConfig()]
+
+
 BAD_CONFIG_FLAGS = [("--revisit-limit", "0"), ("--revisit-limit", "-1"), ("--budget", "-1")]
 
 

@@ -814,9 +814,21 @@ def test_second_hit_on_a_closed_atom_takes_its_outcome_from_the_table():
     assert twice[0] - once[0] < once[0]
 
 
+def test_second_hit_on_a_closed_atom_takes_a_failure_from_the_table():
+    # The first r clause's hit proof of p(1) fails on q. The second clause
+    # pays one step for r, one for p(1) and one for the hit, whose outcome
+    # the table gives without rerunning the proof.
+    clause = "r :- p(1). "
+    rest = "p(1) :- p(1), q. q :- q."
+    assert _smallest_budget(parse_program(clause + rest), "?- r.") == (6, [])
+    assert _smallest_budget(parse_program(clause * 2 + rest), "?- r.") == (9, [])
+
+
 def test_a_hit_proof_cut_short_by_the_budget_raises():
-    # A proof the budget stops records no outcome: the query raises, and
-    # never reads a failure the proof did not reach.
+    # A proof records a failure when it starts, and its cut marker records
+    # a success. A budget stop raises out of the search, and the table goes
+    # with it unread: the query raises at every budget short of the whole
+    # search.
     program = parse_program(TWO_HITS)
     for budget in range(24):  # every budget short of the whole search, some inside a hit proof
         with pytest.raises(ResourceLimitError):
@@ -846,6 +858,67 @@ def test_a_flat_closed_goal_takes_one_hit_per_atom(monkeypatch):
             answers.append(format_answer(answer))
     assert (len(hits), sum(hits), max(hits)) == (1_499, 1_498, 1)
     assert (len(answers), set(answers)) == (748, {"true."})
+
+
+def _count_unifiable_hypotheses(monkeypatch) -> list[int]:
+    """Wrap ``hyp_lookup``; the returned list gets, per lookup, the number of unifiable hypothesis pairs."""
+    pairs = []
+    lookup = engine.hyp_lookup
+
+    def checked(atom, context, store, key):
+        held, found, entry = [], 0, context
+        while entry is not None:
+            h, _, entry = entry
+            for other in held:
+                start = store.mark()
+                found += engine.unify_atoms(h, other, store)
+                store.rollback(start)
+            held.append(h)
+        pairs.append(found)
+        return lookup(atom, context, store, key)
+
+    monkeypatch.setattr(engine, "hyp_lookup", checked)
+    return pairs
+
+
+def _run_capped(program, query, config, answers=12) -> None:
+    try:
+        for _ in zip(range(answers), solve(program, query, config)):
+            pass
+    except CologicError:  # the budget, or arithmetic on an open list
+        pass
+
+
+def test_hypotheses_on_a_branch_never_unify_under_the_cut(monkeypatch, running):
+    # A goal with hits is never pushed, and one without unifies with no
+    # hypothesis on its branch, so no two hypotheses unify: a flat closed
+    # goal meets at most one twin, and _run skips _drop_twins.
+    from cologic.oracle import herbrand_base, universe_for
+    from corpus import corpus
+
+    pairs = _count_unifiable_hypotheses(monkeypatch)
+    cases = [(running, parse_query(text)) for text in (
+        "?- all_pos([1, 2, 3]).", "?- member(X, [1, 2, 3]).", "?- max([3, 1, 2], M).",
+        "?- L = [1, 2|L], all_pos(L).", "?- L = [1, 2|L], member(X, L).",
+        "?- L = [3, 1, 2|L], max(L, M).", "?- L = [1, 2|L], member(3, L).")]
+    for program in corpus(seed=4242, count=200, max_clauses=8):
+        for name, arity in sorted(program.predicates()):
+            general = Atom(name, tuple(Var(i) for i in range(arity)))
+            cases.append((program, Query(Goal((general,)), {i: f"V{i}" for i in range(arity)})))
+        base = herbrand_base(program.extended(), universe_for(program))
+        cases += [(program, Query(Goal((a,)), {})) for a in sorted(base, key=str)]
+    for mode in ("cofacts", "coinductive"):
+        for program, query in cases:
+            _run_capped(program, query, EngineConfig(mode=mode, step_budget=3_000))
+    assert len(pairs) > 10_000 and not any(pairs)
+
+
+def test_hypotheses_on_a_branch_may_unify_without_the_cut(monkeypatch):
+    # Without hyp_cut a goal with hits is pushed too: p(_) meets p(_).
+    pairs = _count_unifiable_hypotheses(monkeypatch)
+    program = parse_program("p(X) :- p(Y). cofact(p(a)).")
+    _run_capped(program, parse_query("?- p(Z)."), EngineConfig(hyp_cut=False, step_budget=30))
+    assert any(pairs)
 
 
 def test_instantiation_error_propagates(running):

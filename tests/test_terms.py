@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -407,6 +409,22 @@ def test_terms_are_frozen(term, name):
     with pytest.raises(FrozenInstanceError):
         term.extra = 1
     assert not hasattr(term, "__dict__")
+
+
+@pytest.mark.parametrize("term", [
+    Var(3),
+    Int(-7),
+    Compound("f", (Var(1), list_term([Int(1), Compound("a")]))),
+    Atom("p", (Int(1), Compound("a"))),
+    Clause(Atom("p", (Var(0),)), (Atom("q", (Var(0), Int(2))),)),
+])
+@pytest.mark.parametrize("round_trip", [
+    copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))])
+def test_terms_copy_and_pickle(term, round_trip):
+    # Frozen slotted records: __reduce__ rebuilds them through __init__.
+    again = round_trip(term)
+    assert again.__class__ is term.__class__
+    assert again == term and hash(again) == hash(term)
 
 
 def test_clause_template_is_built_once(monkeypatch):
