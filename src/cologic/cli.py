@@ -210,15 +210,18 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="print the declarative-semantics report for the loaded program",
     )
-    args = parser.parse_args(argv)
-    options = (("--revisit-limit", args.revisit_limit, 1), ("--budget", args.budget, 0),
-               ("--mode", args.mode, None), *[("--query", text, None) for text in args.query])
-    for flag, value, least in options:
-        # Reported like any other error; argparse.error would raise
-        # SystemExit, which escapes callers that run main in-process.
-        if isinstance(value, list):  # argparse reads an attached "--" value as []
-            print(f"cologic: {flag} needs a value, not '--'", file=sys.stderr)
+    # These errors are reported like any other; argparse.error would raise
+    # SystemExit, which escapes callers that run main in-process. argparse
+    # reads an attached "--" value, as in --bud=-- or -q--, as [] up to
+    # Python 3.12 and as "--" from 3.13, so such values are found first.
+    argv = sys.argv[1:] if argv is None else argv
+    for arg in argv[:argv.index("--")] if "--" in argv else argv:
+        flags = [flag for flag in ("--query", "--mode", "--revisit-limit", "--budget") if flag.startswith(arg[:-3])]
+        if arg in ("-q--", "-q=--") or arg.endswith("=--") and len(flags) == 1:
+            print(f"cologic: {flags[0] if arg[:2] != '-q' else '--query'} needs a value, not '--'", file=sys.stderr)
             return 2
+    args = parser.parse_args(argv)
+    for flag, value, least in (("--revisit-limit", args.revisit_limit, 1), ("--budget", args.budget, 0)):
         if isinstance(value, int) and value < least:
             print(f"cologic: {flag} must be >= {least}", file=sys.stderr)
             return 2

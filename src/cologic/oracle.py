@@ -125,10 +125,11 @@ def ground_instances(
 
     Each combination of constants fills the variable slots of the runner
     that renames the clause (:func:`cologic.terms._maker_of`), built once
-    per clause. A ground clause has no runner and no slots: it is its own
-    single instance. Instances are built once per clause and universe, and
-    kept on the universe; only clauses not grounded yet are validated. The
-    union is built once per clause sequence and kept there too.
+    per clause. A ground clause's runner has no slots: its single
+    instance is an equal clause. Instances are built once per clause and
+    universe, and kept on the universe; only clauses not grounded yet are
+    validated. The union is built once per clause sequence and kept there
+    too.
     Raises :class:`UnsupportedProgramError`, before building anything, when
     the given clauses have more than ``MAX_GROUND_INSTANCES`` instances in
     all.
@@ -140,7 +141,7 @@ def ground_instances(
     built = universe._instances
     new = [c for c in dict.fromkeys(clauses) if c not in built]
     _require_datalog(new)
-    todo = {c: _maker_of(c) or (0, lambda _, clause: clause, c) for c in new}
+    todo = {c: _maker_of(c) for c in new}
     # Distinct combinations give distinct instances, so a clause with k
     # variables has len(universe.constants) ** k of them, built or not.
     n = len(universe.constants)
@@ -150,7 +151,7 @@ def ground_instances(
             f"grounding needs {size:,} clause instances, more than the oracle's"
             f" limit of {MAX_GROUND_INSTANCES:,}"
         )
-    for c, (k, make, constants) in todo.items():
+    for c, (k, make, constants, _) in todo.items():
         built[c] = frozenset([make(combo, constants) for combo in itertools.product(universe.constants, repeat=k)])
     union = universe._ground[key] = frozenset().union(*(built[c] for c in clauses))
     return union

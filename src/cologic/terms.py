@@ -5,18 +5,18 @@ inside a ``Term`` value; it is represented by bindings in a
 :class:`cologic.unify.BindStore`. Everything in this module is immutable
 after construction and safe to share across threads. The exceptions are
 filled in on first use: a program's co-fact-extended clauses, clause
-indexes, variable range and universal-co-fact program, a clause's runner
-and head pattern, and a compound's variable record (:func:`var_record`),
-which lets a walk cross from variable to variable instead of node to
-node. Each depends only on its owner, so threads that build one
-concurrently build equal ones. A clause compiles in one walk
-into one postfix program; a short program becomes a maker, generated code
-compiled once per clause shape into a cache shared by every program, and
-a long one is run as it is. Two threads that build the same maker source
-concurrently store equal functions, and either one serves. Renamings take
-their variables from one table of ``Var(i)`` shared by every query; a
-thread that grows it publishes a whole new table, so entry i is ``Var(i)``
-in every table.
+indexes, variable range and universal-co-fact program, a clause's one
+record of runner and head pattern (:func:`_maker_of`), and a compound's
+variable record (:func:`var_record`), which lets a walk cross from
+variable to variable instead of node to node. Each depends only on its
+owner, so threads that build one concurrently build equal ones. A clause
+compiles in one walk into one postfix program; a short program with
+variables becomes a maker, generated code compiled once per clause shape
+into a cache shared by every program, and a long or ground one is run as
+it is. Two threads that build the same maker source concurrently store
+equal functions, and either one serves. Renamings take their variables
+from one table of ``Var(i)`` shared by every query; a thread that grows
+it publishes a whole new table, so entry i is ``Var(i)`` in every table.
 
 Lists are sugar: ``[]`` is the constant ``Compound("[]")`` and ``[H|T]`` is
 ``Compound(".", (H, T))``. The parser desugars and the renderer resugars.
@@ -285,13 +285,12 @@ _set_atom_hash = Atom._hash.__set__
 class Clause(_Record):
     """``head :- body``; an empty body makes this a fact.
 
-    ``_template`` holds the clause's runner (see :func:`_maker_of`); it is
-    left unset until the clause's first renaming or grounding.
-    ``_pattern`` holds its head pattern (see :func:`key_excludes`), left
-    unset until the clause is first tried against a key.
+    ``_template`` holds the clause's record of runner and head pattern
+    (see :func:`_maker_of`); it is left unset until the clause's first
+    renaming, grounding or head check.
     """
 
-    __slots__ = ("head", "body", "_hash", "_template", "_pattern")
+    __slots__ = ("head", "body", "_hash", "_template")
     _fields = ("head", "body")
     head: Atom
     body: tuple[Atom, ...]
@@ -325,7 +324,6 @@ _set_head = Clause.head.__set__
 _set_body = Clause.body.__set__
 _set_clause_hash = Clause._hash.__set__
 _set_template = Clause._template.__set__
-_set_pattern = Clause._pattern.__set__
 
 
 @dataclass(frozen=True)
@@ -435,21 +433,18 @@ def key_excludes(key: tuple, clause: Clause, source: VarSource) -> bool:
     """True iff ``key`` rules out ``clause``'s head; the ids its renaming would take are then taken.
 
     ``key`` is a goal's :func:`lookup_key` with at least two argument
-    symbols. The clause's head pattern holds its arguments' first nodes
-    in preorder, as many as a key has symbols: a node's principal symbol,
-    or the variable itself. The walk reads the pattern and the key in
-    step. A symbol must equal the key's. A variable takes one whole goal
-    subterm, whose extent the key's arities give, and a variable met twice
-    must meet equal principal symbols. When the key runs out, the clause
-    is allowed. A ruled-out clause would clash in head unification; it
-    takes its ids from ``source`` as :func:`fresh_rename` would, so later
-    ids stay the same.
+    symbols. The clause's head pattern, read from its record (see
+    :func:`_maker_of`), holds its arguments' first nodes in preorder, as
+    many as a key has symbols: a node's principal symbol, or the variable
+    itself. The walk reads the pattern and the key in step. A symbol must
+    equal the key's. A variable takes one whole goal subterm, whose extent
+    the key's arities give, and a variable met twice must meet equal
+    principal symbols. When the key runs out, the clause is allowed. A
+    ruled-out clause would clash in head unification; it takes its ids
+    from ``source`` as :func:`fresh_rename` would, so later ids stay the
+    same: none for a ground clause.
     """
-    try:
-        nodes = clause._pattern
-    except AttributeError:
-        nodes = _head_pattern(clause)
-        _set_pattern(clause, nodes)
+    n, _, _, nodes = _maker_of(clause)
     if nodes is None:
         return False
     seen: dict[int, object] = {}
@@ -473,8 +468,7 @@ def key_excludes(key: tuple, clause: Clause, source: VarSource) -> bool:
             break
     else:
         return False
-    template = _maker_of(clause)
-    source.take(0 if template is None else template[0])
+    source.take(n)
     return True
 
 
@@ -647,25 +641,26 @@ def fresh_rename(clause: Clause, source: VarSource) -> Clause:
     injectively. The k-th distinct variable, counted in preorder over the
     head and then the body, gets the k-th fresh identifier. Ground
     subterms and ground atoms are shared with ``clause``, and a ground
-    clause is returned itself. The clause's runner (see :func:`_maker_of`)
-    builds the copy in one call from the fresh variables, which come from
-    the table all queries share.
+    clause, whose record has no variable slot, is returned itself. The
+    clause's runner (see :func:`_maker_of`) builds the copy in one call
+    from the fresh variables, which come from the table all queries share.
     """
-    template = _maker_of(clause)
-    if template is None:
+    n, make, constants, _ = _maker_of(clause)
+    if not n:
         return clause
-    n, make, constants = template
     return make(_fresh_vars(source.take(n), n), constants)
 
 
-def _maker_of(clause: Clause) -> tuple | None:
-    """``(n, make, constants)`` for a clause, or None when the clause is ground.
+def _maker_of(clause: Clause) -> tuple:
+    """The clause's record ``(n, make, constants, pattern)``.
 
     ``make(v, constants)`` builds the clause's instance whose n variable
     slots hold ``v``: a maker compiled from the clause's postfix program,
-    or :func:`_build` running a long one (see :func:`_compile_clause`).
-    It is built on the clause's first renaming or grounding and then kept
-    in ``Clause._template``.
+    or :func:`_build` running a long one or a ground clause's, for which
+    n is 0 (see :func:`_compile_clause`). ``pattern`` is the clause's
+    :func:`_head_pattern`. The record is built on the clause's first
+    renaming, grounding or head check and then kept in
+    ``Clause._template``.
     """
     try:
         return clause._template
@@ -684,8 +679,8 @@ _INLINE_LIMIT = 32
 _MAKERS: dict[str, Callable] = {}
 
 
-def _compile_clause(clause: Clause) -> tuple | None:
-    """``(n, make, constants)`` for a clause (see :func:`_maker_of`), or None when it is ground.
+def _compile_clause(clause: Clause) -> tuple:
+    """The record ``(n, make, constants, pattern)`` of a clause (see :func:`_maker_of`).
 
     One walk over the head and then the body atoms, in postorder on one
     stack, emits the clause's postfix program: a number pushes that
@@ -703,7 +698,8 @@ def _compile_clause(clause: Clause) -> tuple | None:
     source holds no program text and every clause of one shape shares it.
     A longer program is run by :func:`_build`, with the program as its
     constants, so a wide clause or a long list costs neither a nested
-    expression that Python's parser refuses nor a long compile.
+    expression that Python's parser refuses nor a long compile. So is a
+    ground clause's program, which is just its atoms.
     :func:`fresh_rename` calls ``make`` with fresh variables, and
     :func:`cologic.oracle.ground_instances` with constants.
     """
@@ -728,10 +724,9 @@ def _compile_clause(clause: Clause) -> tuple | None:
         else:
             todo.append((x, len(code)))
             todo += x.args[::-1]
-    if not numbers:
-        return None
-    if len(code) > _INLINE_LIMIT:
-        return len(numbers), _build, tuple(code)
+    pattern = _head_pattern(clause)
+    if not numbers or len(code) > _INLINE_LIMIT:
+        return len(numbers), _build, tuple(code), pattern
     constants: list = []
     stack: list[str] = []
     for op in code:
@@ -752,7 +747,7 @@ def _compile_clause(clause: Clause) -> tuple | None:
     make = _MAKERS.get(source)
     if make is None:
         make = _MAKERS[source] = eval(source, {"Clause": Clause, "Atom": Atom, "Compound": Compound})
-    return len(numbers), make, tuple(constants)
+    return len(numbers), make, tuple(constants), pattern
 
 
 def _build(variables: Sequence[Term], code: tuple) -> Clause:

@@ -228,7 +228,8 @@ def test_repl_bad_config_value_exit_2(running_path, monkeypatch, capsys, flags):
     assert captured.err.startswith(f"cologic: {flags[0]} must be >= ")
 
 
-# Python 3.11's argparse reads an option's attached "--" value as an empty list.
+# argparse reads an option's attached "--" value as an empty list up to
+# Python 3.12 and as "--" from 3.13; main finds it before parsing.
 DASHES_VALUES = {"--query=--": "--query", "-q--": "--query", "--mode=--": "--mode",
                  "--budget=--": "--budget", "--revisit-limit=--": "--revisit-limit"}
 
@@ -240,6 +241,15 @@ def test_attached_dashes_value_exit_2_one_line(running_path, arg):
     assert "Traceback" not in run.stderr
     assert run.stderr.splitlines() == [f"cologic: {DASHES_VALUES[arg]} needs a value, not '--'"]
     assert run.stdout == ""
+
+
+@pytest.mark.parametrize("arg, flag", sorted({**DASHES_VALUES, "--bud=--": "--budget", "-q=--": "--query"}.items()))
+def test_attached_dashes_value_returns_2_in_process(running_path, capsys, arg, flag):
+    # On Python 3.13 argparse would exit through SystemExit, or run "--" as a query.
+    assert main([running_path, arg, "--query", "?- true."]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"cologic: {flag} needs a value, not '--'"]
+    assert captured.out == ""
 
 
 def test_repl_query_and_quit(running_path, monkeypatch, capsys):

@@ -96,9 +96,9 @@ def test_oversized_grounding_is_refused(monkeypatch):
         raise AssertionError("instantiated before the size check")
 
     def refusing_maker_of(clause):
-        found = maker_of(clause)
+        n, _, constants, pattern = maker_of(clause)
         made.append(clause)
-        return found and (found[0], refuse, found[2])
+        return n, refuse, constants, pattern
 
     monkeypatch.setattr(oracle, "_maker_of", refusing_maker_of)
     assert oracle.MAX_GROUND_INSTANCES == 1_000_000

@@ -21,6 +21,8 @@ def test_scaling_runs_every_case_at_tiny_sizes():
         (case, n) for n in (5, 12) for case in ("all_pos/finite", "max/finite", "member_miss/finite")
     ] + [(case, p) for p in (2, 3) for case in ("max/cycle", "all_pos/cycle")] + [
         (case, p) for p in (2, 3) for case in ("max/repeat_cycle", "all_pos/repeat_cycle", "member_miss/repeat_cycle")
+    ] + [
+        (case, n) for n in (2, 3) for case in ("all_pos/equal_finite", "max/equal_finite", "member_miss/equal_finite")
     ]
     assert all(row["ok"] and row["cpu_s"] >= 0 and row["mode"] == "cofacts" for row in rows)
 
@@ -32,7 +34,8 @@ def test_scaling_runs_every_case_in_each_mode():
     assert run.returncode == 0, run.stderr
     rows = json.loads(run.stdout.strip().splitlines()[-1])["rows"]
     cases = ["all_pos/finite", "max/finite", "member_miss/finite", "max/cycle", "all_pos/cycle",
-             "max/repeat_cycle", "all_pos/repeat_cycle", "member_miss/repeat_cycle"]
+             "max/repeat_cycle", "all_pos/repeat_cycle", "member_miss/repeat_cycle",
+             "all_pos/equal_finite", "max/equal_finite", "member_miss/equal_finite"]
     assert [(row["mode"], row["case"]) for row in rows] == [
         (mode, case) for mode in ("cofacts", "inductive", "coinductive") for case in cases
     ]

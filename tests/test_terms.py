@@ -30,17 +30,22 @@ from cologic import (
     parse_program,
     parse_query,
     render_term,
+    solve,
 )
+from cologic import engine
 from cologic import terms as term_module
 from cologic.oracle import ground_instances
 from cologic.terms import (
     VarSource,
     fresh_rename,
+    key_excludes,
+    lookup_key,
     max_var_id,
     with_universal_cofacts,
 )
-from cologic.cli import main
+from cologic.cli import format_answer, main, oracle_report
 from helpers import (
+    RUNNING_EXAMPLE,
     alpha_equal_clause,
     canon_clause,
     reference_rename,
@@ -109,7 +114,7 @@ long_terms = st.builds(
 
 
 def test_long_terms_exceed_the_inline_limit():
-    _, make, program = term_module._maker_of(Clause(Atom("p", (list_term([Int(0)] * 17, Var(0)),))))
+    _, make, program, _ = term_module._maker_of(Clause(Atom("p", (list_term([Int(0)] * 17, Var(0)),))))
     assert make is term_module._build
     assert len(program) > term_module._INLINE_LIMIT
 
@@ -149,6 +154,19 @@ def test_fresh_rename_equals_the_recursive_reference(t1, t2, t3, extra):
     # emits exactly one `v[` or `c[` into the maker's source.
     for source in term_module._MAKERS:
         assert len(re.findall(r"\b[vc]\[", source)) <= term_module._INLINE_LIMIT, source
+
+
+def test_a_ground_clause_record_has_no_slots():
+    clause = parse_program("p(1, a) :- q(a), r.").clauses[0]
+    n, make, program, pattern = term_module._maker_of(clause)
+    assert (n, make, program) == (0, term_module._build, (clause.head, *clause.body))
+    assert pattern == (1, ("a", 0))
+    source = VarSource(5)
+    assert fresh_rename(clause, source) is clause
+    key = lookup_key(Atom("p", (Int(1), Compound("b"))), lambda t: t)
+    assert key_excludes(key, clause, source)
+    assert source.next_id == 5
+    assert ground_instances([clause], GroundUniverse((Int(1), Compound("a")))) == {clause}
 
 
 def test_fresh_rename_shares_ground_parts():
@@ -428,14 +446,28 @@ def test_terms_copy_and_pickle(term, round_trip):
 
 
 def test_clause_template_is_built_once(monkeypatch):
-    built = []
+    # One record per clause, its head pattern included, however many key
+    # checks, renamings and groundings touch the clause.
+    built, patterns, checked = [], [], []
 
     def counting_compile(clause):
         built.append(clause)
         return compile_clause(clause)
 
-    compile_clause = term_module._compile_clause
+    def counting_pattern(clause):
+        patterns.append(clause)
+        return head_pattern(clause)
+
+    def counting_check(key, clause, source):
+        excluded = key_excludes(key, clause, source)
+        checked.append((clause, excluded))
+        return excluded
+
+    compile_clause, head_pattern = term_module._compile_clause, term_module._head_pattern
+    key_excludes = engine.key_excludes
     monkeypatch.setattr(term_module, "_compile_clause", counting_compile)
+    monkeypatch.setattr(term_module, "_head_pattern", counting_pattern)
+    monkeypatch.setattr(engine, "key_excludes", counting_check)
     clause = parse_program("p(X, f(Y)) :- q(Y).").clauses[0]
     source = VarSource(10)
     fresh_rename(clause, source)
@@ -444,6 +476,22 @@ def test_clause_template_is_built_once(monkeypatch):
     assert clause._template is template
     assert built == [clause]
     assert term_vars(second) == {12, 13}
+    # A probed member query checks each member clause against one key
+    # after another, and renames the ones it keeps.
+    lists = parse_program(RUNNING_EXAMPLE)
+    assert [format_answer(a) for a in solve(lists, parse_query("?- member(3, [1, 2, 3])."))] == ["true."]
+    member = [c for c in lists.clauses if c.head.predicate == "member"]
+    assert {c for c, _ in checked} == set(member) and len(checked) > len(member)
+    # A constants-only program's clauses are renamed and grounded, and
+    # p(a, b) :- q(b) is key-checked twice: ruled out once, kept once.
+    facts = parse_program("p(a, b) :- q(b).  p(a, X) :- q(X).  q(b).  q(c).")
+    for text in ["?- p(a, c).", "?- p(a, b)."]:
+        assert list(solve(facts, parse_query(text)))
+    assert (facts.clauses[0], True) in checked and (facts.clauses[0], False) in checked
+    oracle_report(facts)
+    assert [id(c) for c in patterns] == [id(c) for c in built]
+    assert len({id(c) for c in built}) == len(built)
+    assert set(map(id, built)) >= set(map(id, [*member, *facts.extended()]))
 
 
 def test_makers_take_names_from_constants_not_from_their_source():
@@ -453,7 +501,7 @@ def test_makers_take_names_from_constants_not_from_their_source():
     x, y = Var(0), Var(1)
     clause = Clause(Atom(p, (x, Compound(f, (y, Compound(f))))), (Atom(f, (Compound(p, (y,)),)), Atom(p, ())))
     assert fresh_rename(clause, VarSource(30)) == reference_rename(clause, VarSource(30))
-    n, make, constants = term_module._maker_of(clause)
+    n, make, constants, _ = term_module._maker_of(clause)
     assert n == 2
     one, two = Int(1), Compound(p)
     assert make((one, two), constants) == substitute(clause, {0: one, 1: two})

@@ -16,18 +16,26 @@ It imports cologic from ``<checkout>/src``, parses
   ``L = [e_1, ..., e_p|L]`` whose elements repeat, ``e_i = i % 7 + 1``,
   for the same periods. A lookup's trial unification walks such a cycle
   up to a whole period before two rotations disagree, so these cases
-  cost about cubic time in the period.
+  cost about cubic time in the period;
+* ``all_pos``, ``max`` and ``member`` (a miss) over the finite list of n
+  copies of ``1``, for n in ``--periods``. Every suffix has the same
+  lookup key, so every entry on the branch passes the key test and each
+  trial walks to the end of the shorter list: these cases cost about
+  cubic time too, which is why they take the periods' sizes, not
+  ``--finite``'s.
 
 Every case runs in each engine mode named by ``--modes`` (default
 ``cofacts``; ``--modes cofacts,inductive`` compares the bounded stratum).
 Each case runs three times and reports its median; parsing the query is
 not timed. Every answer is checked: ``all_pos`` holds, ``member(0, ...)``
 fails, and ``max`` answers ``M = n`` (or ``M = p``, or the largest
-repeated element); in ``inductive`` mode every cycle case answers
-``false.``, as a cycle has no finite derivation, and in ``coinductive``
-mode ``member(0, ...)`` holds on a cycle, as its derivation is infinite. It prints one JSON line: the checkout, the Python version and
-one row per mode and case with its ``cpu_s`` and whether its answer was
-right. The exit status is 1 when an answer was wrong or the search raised.
+repeated element, or ``M = 1``); in ``inductive`` mode every cycle case
+answers ``false.``, as a cycle has no finite derivation, and in
+``coinductive`` mode ``member(0, ...)`` holds on a cycle, as its
+derivation is infinite. It prints one JSON line: the checkout, the
+Python version and one row per mode and case with its ``cpu_s`` and
+whether its answer was right. The exit status is 1 when an answer was
+wrong or the search raised.
 
 Uses the standard library only.
 """
@@ -78,6 +86,11 @@ def cases(finite, periods, mode="cofacts"):
         yield "max/repeat_cycle", p, f"?- {cycle}, max(L, M).", {"M": max(elements)} if cycles_hold else None
         yield "all_pos/repeat_cycle", p, f"?- {cycle}, all_pos(L).", {} if cycles_hold else None
         yield "member_miss/repeat_cycle", p, f"?- {cycle}, member(0, L).", {} if mode == "coinductive" else None
+    for n in periods:
+        items = "[" + ", ".join(["1"] * n) + "]"
+        yield "all_pos/equal_finite", n, f"?- all_pos({items}).", {}
+        yield "max/equal_finite", n, f"?- max({items}, M).", {"M": 1}
+        yield "member_miss/equal_finite", n, f"?- member(0, {items}).", None
 
 
 def correct(cologic, answer, expected) -> bool:
